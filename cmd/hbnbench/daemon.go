@@ -1,13 +1,13 @@
 package main
 
-// -daemon mode: drive a LIVE hbnd daemon over its real TCP socket — the
-// out-of-process twin of the in-process -ingestbench — and verify the
-// conservation ledger from the outside: every event the daemon claims to
-// have served is one a client saw acknowledged, the service cost matches
-// the acknowledged batch costs, and ΣServiceLoad + dropped closes the
-// books. CI uses this as the smoke harness: start hbnd, push requests,
-// SIGTERM-drain it, restart from the drain snapshot, and re-invoke with
-// -devents 0 to compare the recovered request count.
+// -daemon mode: drive a LIVE hbnd daemon over its real TCP socket and
+// verify the conservation ledger from the outside: every event the
+// daemon claims to have served is one a client saw acknowledged, the
+// service cost matches the acknowledged batch costs, and ΣServiceLoad +
+// dropped closes the books. CI uses this as the smoke harness: start
+// hbnd, push requests, SIGTERM-drain it, restart from the drain
+// snapshot, and re-invoke with -devents 0 to compare the recovered
+// request count.
 
 import (
 	"errors"

@@ -11,7 +11,6 @@
 //	hbnbench -experiment all -json      # machine-readable, for BENCH_*.json
 //	hbnbench -experiment none -solverbench -json  # solver benchmarks only
 //	hbnbench -experiment none -serve    # trace-driven serving benchmark
-//	hbnbench -experiment none -ingestbench      # requests/sec, batched vs per-request
 //	hbnbench -experiment none -reconfig # live topology churn (failover/scale-out/brownout)
 //	hbnbench -experiment none -churn    # compound fault scripts, stop-the-world vs rolling stalls
 //	hbnbench -experiment none -snapshot # crash-consistent snapshot/restore latency, stall, image size
@@ -66,7 +65,6 @@ type jsonOutput struct {
 	Results    []jsonResult     `json:"results"`
 	Benchmarks []jsonBench      `json:"benchmarks,omitempty"`
 	Serving    []jsonServe      `json:"serving,omitempty"`
-	Ingest     []jsonIngest     `json:"ingest,omitempty"`
 	Reconfig   []jsonReconfig   `json:"reconfig,omitempty"`
 	Churn      []jsonChurn      `json:"churn,omitempty"`
 	Snapshot   []jsonSnapshot   `json:"snapshot,omitempty"`
@@ -83,7 +81,6 @@ func main() {
 		seed       = flag.Int64("seed", 2000, "base random seed")
 		solverB    = flag.Bool("solverbench", false, "measure the solver benchmarks (warm/cold Solve, Resolve) and emit them in -json mode")
 		serveB     = flag.Bool("serve", false, "run the trace-driven serving benchmark (sharded cluster, epoch re-solve vs baseline vs clairvoyant static)")
-		ingestB    = flag.Bool("ingestbench", false, "run the ingest throughput benchmark (requests/sec, batched ServeBatch path vs per-request reference, all four trace scenarios)")
 		reconfigB  = flag.Bool("reconfig", false, "run the live-reconfiguration benchmark (failover, scale-out, brownout: reconfigure latency, req/s during churn, congestion vs a cold restart)")
 		churnB     = flag.Bool("churn", false, "run the adversarial churn benchmark (compound fault-injection scenarios, stop-the-world vs rolling reconfiguration ingest stalls, conservation checked)")
 		snapshotB  = flag.Bool("snapshot", false, "run the snapshot durability benchmark (crash-consistent snapshot latency, ingest stall, image size, restore-to-first-served-request)")
@@ -149,14 +146,6 @@ func main() {
 	if *serveB {
 		var err error
 		serving, err = runServeBench(*quick, *seed)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	var ingest []jsonIngest
-	if *ingestB {
-		var err error
-		ingest, err = runIngestBench(*quick, *seed)
 		if err != nil {
 			fatal(err)
 		}
@@ -246,7 +235,6 @@ func main() {
 			Results:    timed,
 			Benchmarks: benches,
 			Serving:    serving,
-			Ingest:     ingest,
 			Reconfig:   reconfig,
 			Churn:      churn,
 			Snapshot:   snapshots,
@@ -272,9 +260,6 @@ func main() {
 		}
 		if len(serving) > 0 {
 			printServeBench(serving)
-		}
-		if len(ingest) > 0 {
-			printIngestBench(ingest)
 		}
 		if len(reconfig) > 0 {
 			printReconfigBench(reconfig)

@@ -89,13 +89,11 @@
 //
 // The online serving layer (NewCluster) is built around batches: Ingest
 // partitions each batch onto its owner shards with pooled, reusable
-// scratch (steady-state allocation-free) and serves every shard through
-// OnlineStrategy.ServeBatch — bit-identical to per-request serving, with
-// runs of identical requests folded into single path walks and the
-// write-broadcast Steiner tree of each copy set maintained incrementally
-// (the connected-subtree structure of Theorem 3.1 makes both exact; see
-// internal/dynamic). `hbnbench -ingestbench` measures the requests/sec
-// throughput of this path against the per-request reference.
+// scratch (steady-state allocation-free) and serves every shard's
+// partition in input order through OnlineStrategy.ServeBatch, which
+// maintains the write-broadcast Steiner tree of each copy set
+// incrementally (the connected-subtree structure of Theorem 3.1 makes
+// this exact; see internal/dynamic).
 //
 // # Elastic topology
 //

@@ -1,7 +1,9 @@
 package dynamic
 
 import (
+	"maps"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -143,6 +145,65 @@ func TestServeBatchMatchesSequentialWithAdoption(t *testing.T) {
 	}
 }
 
+// RecordBatch must be equivalent to the Record loop — the same frequency
+// rows, the same drifted objects in the same first-touch order, and the
+// same comparator report — under random uneven batch splits, with drains
+// and reports interleaved between batches as the epoch pass does. These
+// are exactly what an epoch pass reads from a shard tracker.
+func TestRecordBatchMatchesRecord(t *testing.T) {
+	rng := rand.New(rand.NewSource(407))
+	for _, tr := range batchTrees(rng) {
+		const objects = 8
+		scenarios := batchScenarios(rng, tr, objects, 1200)
+		// Repeated events exercise the run folding directly.
+		var runs []Request
+		for _, r := range RandomSequence(rng, tr, objects, 400, 0.3) {
+			for k := rng.Intn(4); k >= 0; k-- {
+				runs = append(runs, r)
+			}
+		}
+		scenarios["runs"] = runs
+		for _, name := range slices.Sorted(maps.Keys(scenarios)) {
+			reqs := scenarios[name]
+			ref := NewOfflineTracker(tr, objects)
+			ot := NewOfflineTracker(tr, objects)
+			var refDrift, drift []int
+			for lo := 0; lo < len(reqs); {
+				hi := min(len(reqs), lo+1+rng.Intn(200))
+				for _, r := range reqs[lo:hi] {
+					ref.Record(r)
+				}
+				ot.RecordBatch(reqs[lo:hi])
+				lo = hi
+				if rng.Intn(3) == 0 || lo == len(reqs) {
+					refDrift, drift = ref.DrainDrifted(refDrift[:0]), ot.DrainDrifted(drift[:0])
+					if !slices.Equal(refDrift, drift) {
+						t.Fatalf("%s at %d: drained %v != %v", name, lo, drift, refDrift)
+					}
+				}
+				if rng.Intn(4) == 0 || lo == len(reqs) {
+					want, err := ref.Report()
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := ot.Report()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(want, got) {
+						t.Fatalf("%s at %d: report %+v != %+v", name, lo, got, want)
+					}
+				}
+			}
+			for x := 0; x < objects; x++ {
+				if w, g := ref.Workload().Row(x), ot.Workload().Row(x); !slices.Equal(w, g) {
+					t.Fatalf("%s: object %d row %v != %v", name, x, g, w)
+				}
+			}
+		}
+	}
+}
+
 // steinerReference recomputes object x's write-broadcast edges from
 // scratch: edge e is a Steiner edge of the copy set iff copies exist on
 // both sides of e (counted over the node-0 orientation).
@@ -231,8 +292,8 @@ func BenchmarkServeLoop1024(b *testing.B) {
 	}
 }
 
-// BenchmarkServeBatch1024 is the batched run-length-folded path on the
-// same trace and batch size.
+// BenchmarkServeBatch1024 is the batched path on the same trace and batch
+// size.
 func BenchmarkServeBatch1024(b *testing.B) {
 	t, trace := benchStrategyTrace()
 	s := MustNew(t, 256, Options{Threshold: 8})

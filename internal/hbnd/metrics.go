@@ -83,7 +83,7 @@ func (d *Daemon) MetricsHandler(withPprof bool) http.Handler {
 
 // serveMetrics renders the registry in Prometheus text exposition
 // format (version 0.0.4): counters per shard, admission gauges,
-// per-edge congestion gauges, and each latency histogram with
+// per-edge load vectors, and each latency histogram with
 // cumulative log2 buckets.
 func (d *Daemon) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	var b strings.Builder
@@ -135,11 +135,12 @@ func (d *Daemon) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("hbn_ops_materializations_total", "strategy materializations", ops.Materializations)
 	counter("hbn_ops_adoptions_total", "copy-set adoptions across epochs", ops.Adoptions)
 
-	// Per-edge congestion gauges, sampled straight from the cluster's
-	// packed counter words (one atomic load per edge, no lock).
+	// Per-edge loads, folded over the shards by Cluster.EdgeLoad and
+	// ServiceLoad: each takes the cluster's topology read lock and every
+	// shard lock in turn, and allocates the returned vector.
 	edges := d.cl.EdgeLoad()
 	service := d.cl.ServiceLoad()
-	fmt.Fprintf(&b, "# HELP hbn_edge_load current per-edge congestion\n# TYPE hbn_edge_load gauge\n")
+	fmt.Fprintf(&b, "# HELP hbn_edge_load cumulative raw per-edge load (service plus copy movement, not divided by bandwidth)\n# TYPE hbn_edge_load gauge\n")
 	for e, v := range edges {
 		fmt.Fprintf(&b, "hbn_edge_load{edge=\"%d\"} %d\n", e, v)
 	}

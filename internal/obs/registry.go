@@ -18,8 +18,11 @@ type Registry struct {
 	ReconfigStall Histogram // per-shard ingest stall during reconfiguration
 	SnapshotCut   Histogram // snapshot cut stall (ingest paused)
 	Handoff       Histogram // live handoff phase durations
-	Apply         Histogram // daemon apply latency (admission to applied)
-	RoundTrip     Histogram // client-observed request round-trip latency
+	// Apply is the daemon applier's Cluster.Ingest call latency: timed
+	// after dequeue and the deadline gate, before the tail append and
+	// the reply.
+	Apply     Histogram
+	RoundTrip Histogram // client-observed request round-trip latency
 
 	// Flight is the structural-event flight recorder.
 	Flight *Recorder

@@ -9,11 +9,9 @@
 // serving the whole sequence). Batches ingested by Ingest are partitioned
 // by owner (counting-sorted into pooled scratch: the steady-state request
 // hot path allocates nothing, guarded by TestIngestSteadyAllocs) and
-// served shard-parallel through Strategy.ServeBatch, the run-length
-// folding batched path (Options.Unbatched selects the per-request
-// reference loop, bit-identical by the batching equivalence property);
-// each shard's OfflineTracker records the observed frequencies in bulk as
-// it serves.
+// served shard-parallel: each shard serves its partition in input order
+// through Strategy.ServeBatch, and its OfflineTracker records the
+// observed frequencies in bulk as it serves.
 //
 // Every EpochRequests served requests, an epoch pass feeds the objects
 // whose frequencies drifted since the previous pass into a shared
@@ -127,12 +125,6 @@ type Options struct {
 	// average. Objects with no new traffic keep their frequencies either
 	// way, so the incremental Resolve contract is preserved.
 	DecayShift uint
-	// Unbatched serves each shard's partition with the per-request
-	// Serve/Record loop instead of the batched run-length-folded path.
-	// Both produce bit-identical state (property-tested); this is the
-	// reference configuration for equivalence tests and the baseline of
-	// the ingest throughput benchmark.
-	Unbatched bool
 	// NoTelemetry disables the cluster's obs registry: Obs returns nil
 	// and the serving paths skip all counter/histogram updates. Telemetry
 	// is on by default and costs a handful of uncontended atomic adds per
@@ -298,17 +290,8 @@ func (sc *ingestScratch) serveShard(_, si int) {
 			part[i].Node = fb[part[i].Node]
 		}
 	}
-	var cost int64
-	if sc.c.opts.Unbatched {
-		for _, r := range part {
-			cost += sh.strat.Serve(r)
-			sh.tracker.Record(r)
-		}
-	} else {
-		cost = sh.strat.ServeBatch(part)
-		// The grouped view lets the tracker fold runs of identical events.
-		sh.tracker.RecordBatch(sh.strat.GroupedBatch())
-	}
+	cost := sh.strat.ServeBatch(part)
+	sh.tracker.RecordBatch(part)
 	sc.costs[si] = cost
 	sh.cost += cost
 	if b := sh.obsb; b != nil {

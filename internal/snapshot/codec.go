@@ -15,11 +15,13 @@ import (
 const (
 	magic = "HBNSNAP1"
 	// version 2 added the bandwidth-aware / drift-trigger options, the
-	// drift-epoch counter and the per-epoch trigger fields. Decode accepts
-	// exactly the current version: a v1 reader meeting a v2 image and this
-	// reader meeting a v1 image both fail the same typed way (ErrCorrupt),
-	// and the generation ladder's cold-solve fallback takes over.
-	version    = 2
+	// drift-epoch counter and the per-epoch trigger fields; version 3
+	// retired state flag bit 0 (the per-request serving option). Decode
+	// accepts exactly the current version: an older reader meeting this
+	// image and this reader meeting an older image both fail the same
+	// typed way (ErrCorrupt), and the generation ladder's cold-solve
+	// fallback takes over.
+	version    = 3
 	headerSize = len(magic) + 4 + 8
 	crcSize    = 4
 	// maxCells bounds the decoded workload dimensions (objects × nodes),
@@ -76,9 +78,6 @@ func Encode(st *State) []byte {
 	e.varint(st.EpochRequests)
 	e.uvarint(uint64(st.DecayShift))
 	var flags byte
-	if st.Unbatched {
-		flags |= 1
-	}
 	if st.Solved {
 		flags |= 2
 	}
@@ -411,10 +410,9 @@ func decodeBody(body []byte) (*State, error) {
 	st.EpochRequests = d.varint()
 	st.DecayShift = uint32(d.val(63, "decay shift"))
 	flags := d.byte()
-	if flags&^byte(7) != 0 {
+	if flags&^byte(6) != 0 {
 		d.fail("unknown state flags %#x", flags)
 	}
-	st.Unbatched = flags&1 != 0
 	st.Solved = flags&2 != 0
 	st.BandwidthAware = flags&4 != 0
 	st.WriteBudget = int(d.nonneg("write budget"))

@@ -23,10 +23,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte{})
 	f.Add([]byte("HBNSNAP1 not really"))
-	// A v2 body wearing a v1 header: the exact-version check must refuse
-	// it before the body layout is trusted.
+	// A current body wearing the previous version's header: the
+	// exact-version check must refuse it before the body layout is trusted.
 	downgraded := bytes.Clone(img)
-	binary.LittleEndian.PutUint32(downgraded[len(magic):], 1)
+	binary.LittleEndian.PutUint32(downgraded[len(magic):], version-1)
 	f.Add(downgraded)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hbn/internal/dynamic"
@@ -49,7 +51,6 @@ func mkState(seq uint64) *State {
 		EpochRequests: 400,
 		Threshold:     3,
 		DecayShift:    1,
-		Unbatched:     false,
 		// v2 options: all non-default, so the round-trip and the fuzz
 		// corpus (seeded from this state) cover the extended image.
 		BandwidthAware:     true,
@@ -161,12 +162,12 @@ func TestDecodeRejectsHostileHeaders(t *testing.T) {
 	copy(badVersion, good)
 	binary.LittleEndian.PutUint32(badVersion[len(magic):], 99)
 
-	// The version check is exact, not a ceiling: a v1 header on an image
-	// that carries v2 fields must be refused, because a v1-shaped read of
-	// a v2 body would silently misparse the option block.
+	// The version check is exact, not a ceiling: the previous version's
+	// header on a current body must be refused, because an old-shaped read
+	// of a new body would silently misparse the option block.
 	oldVersion := make([]byte, len(good))
 	copy(oldVersion, good)
-	binary.LittleEndian.PutUint32(oldVersion[len(magic):], 1)
+	binary.LittleEndian.PutUint32(oldVersion[len(magic):], version-1)
 
 	cases := map[string][]byte{
 		"empty":          {},
@@ -180,6 +181,32 @@ func TestDecodeRejectsHostileHeaders(t *testing.T) {
 		if _, err := Decode(data); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
 		}
+	}
+}
+
+// State flag bit 0 is retired: a correctly sealed image that sets it is
+// rejected as carrying an unknown flag instead of being decoded.
+func TestDecodeRejectsRetiredFlag(t *testing.T) {
+	st := mkState(7)
+	img := Encode(st)
+	// The flags byte follows the six varint fields that open the body.
+	prefix := &enc{}
+	prefix.uvarint(st.Seq)
+	prefix.uvarint(uint64(st.NumObjects))
+	prefix.uvarint(uint64(len(st.ShardStates)))
+	prefix.varint(int64(st.Threshold))
+	prefix.varint(st.EpochRequests)
+	prefix.uvarint(uint64(st.DecayShift))
+	body := bytes.Clone(img[headerSize : len(img)-crcSize])
+	if f := body[len(prefix.b)]; f != 6 {
+		t.Fatalf("flags byte %#x, want 0x6 (solved, bandwidth-aware)", f)
+	}
+	body[len(prefix.b)] |= 1
+	forged := append(bytes.Clone(img[:headerSize]), body...)
+	forged = binary.LittleEndian.AppendUint32(forged, crc32.ChecksumIEEE(body))
+	_, err := Decode(forged)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unknown state flags") {
+		t.Fatalf("flag bit 0: got %v, want ErrCorrupt for unknown state flags", err)
 	}
 }
 
