@@ -162,6 +162,11 @@ func BenchmarkResolve1000x64Delta1(b *testing.B) { solverbench.Resolve(b, 1) }
 // of the 64 objects drifted per round.
 func BenchmarkResolve1000x64Delta8(b *testing.B) { solverbench.Resolve(b, 8) }
 
+// BenchmarkResolve1000x64Delta64 measures the incremental re-solve after
+// every object drifted — the shape of a serving epoch pass, where most
+// objects see new traffic between passes.
+func BenchmarkResolve1000x64Delta64(b *testing.B) { solverbench.Resolve(b, 64) }
+
 // BenchmarkEvaluate1000x64 measures the steady evaluation path: a reused
 // Evaluator writing into a reused Report — the configuration a server
 // scoring placements under load runs in. Allocations must stay ~0.

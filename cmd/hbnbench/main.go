@@ -320,6 +320,8 @@ func solverBenchmarks() []jsonBench {
 			func(b *testing.B) { solverbench.Resolve(b, 1) }),
 		measure("BenchmarkResolve1000x64Delta8", "incremental re-solve, 8 of 64 objects drifted",
 			func(b *testing.B) { solverbench.Resolve(b, 8) }),
+		measure("BenchmarkResolve1000x64Delta64", "incremental re-solve, all 64 objects drifted",
+			func(b *testing.B) { solverbench.Resolve(b, 64) }),
 	}
 }
 

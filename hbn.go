@@ -44,12 +44,15 @@
 // purely a throughput knob. Step 3 (mapping) shares load budgets across
 // objects and always runs sequentially.
 //
-// Workloads that solve repeatedly hold a Solver, the reusable,
-// arena-backed form of Solve. A Solver owns all per-stage scratch — nibble
-// state, deletion buffers, the mapping runner, merge/validation tallies,
-// tracked evaluators and the bump arenas the placement records come from —
-// so a warm Solve allocates almost nothing (tens of allocations instead of
-// the >11k of a cold run), and Resolve re-solves after a few objects'
+// Workloads that solve repeatedly hold a Solver, the reusable form of
+// Solve. A Solver owns all per-stage scratch — nibble state, deletion
+// buffers, the mapping runner, merge/validation tallies and tracked
+// evaluators — and gives every object its own reusable record slot: an
+// object's records are built in per-worker scratch and packed into its
+// slot, overwriting the previous ones in place. A warm Solve, and a warm
+// Resolve of any number of objects, therefore allocates almost nothing
+// (about 40 allocations on a 1000-node, 64-object instance, against the
+// >11k of a cold run), and Resolve re-solves after some objects'
 // frequencies changed at cost proportional to the change:
 //
 //	s, _ := hbn.NewSolver(t)
@@ -67,7 +70,7 @@
 // the load contributions of objects whose final copies actually moved.
 // Resolve's Result is bit-identical to a fresh Solve on the mutated
 // workload, at every Parallelism setting. Results returned by a Solver are
-// backed by its arenas and are invalidated by its next Solve/Resolve call;
+// backed by its slots and are invalidated by its next Solve/Resolve call;
 // the one-shot hbn.Solve has no such aliasing (its solver is discarded).
 //
 // Evaluation is allocation-free on the steady path: callers that score

@@ -12,14 +12,17 @@ import (
 	"hbn/internal/workload"
 )
 
-// Solver is a reusable, arena-backed instance of the extended-nibble
-// pipeline bound to one network. It owns every piece of per-stage scratch —
-// nibble state, deletion buffers, nearest-assignment tallies, the mapping
-// runner (orientation, level order, dense copy state, free-edge heap),
-// per-object merge/validation scratch, two tracked evaluators and the
-// bump arenas the placement records come from — so a warm Solve approaches
-// zero steady-state allocations, and Resolve recomputes only the objects a
-// caller declares changed.
+// Solver is a reusable instance of the extended-nibble pipeline bound to
+// one network. It owns every piece of per-stage scratch — nibble state,
+// deletion buffers, nearest-assignment tallies, the mapping runner
+// (orientation, level order, dense copy state, free-edge heap), per-object
+// merge/validation scratch and two tracked evaluators — and the placement
+// records themselves. Solve and Resolve share one allocation path: each
+// object's records are built in a per-worker scratch arena and packed into
+// that object's own reusable slot (placement.Slot), so a warm call, full
+// or incremental, allocates only when an object's record count outgrows
+// its slot's slack. Resolve recomputes only the objects a caller declares
+// changed.
 //
 // Ownership contract: the *Result returned by Solve/Resolve (including
 // every placement, report and trace hanging off it) is backed by solver
@@ -67,6 +70,10 @@ type Solver struct {
 	finalP placement.P
 	nibRep placement.Report
 	finRep placement.Report
+	// stage[x] holds object x's nibP and modP records, final[x] its finalP
+	// records; see placement.Slot.
+	stage []placement.Slot
+	final []placement.Slot
 
 	leafOnly []bool
 	kappa    []int64 // per-object write contention, maintained by stageA
@@ -136,6 +143,10 @@ func (s *Solver) ensure(workers, numObjects int) {
 		s.modP.Copies = make([][]*placement.Copy, numObjects)
 		s.finalP.Copies = make([][]*placement.Copy, numObjects)
 	}
+	if len(s.stage) < numObjects {
+		s.stage = append(s.stage, make([]placement.Slot, numObjects-len(s.stage))...)
+		s.final = append(s.final, make([]placement.Slot, numObjects-len(s.final))...)
+	}
 	s.leafOnly = s.leafOnly[:numObjects]
 	s.kappa = s.kappa[:numObjects]
 	s.perObj = s.perObj[:numObjects]
@@ -173,9 +184,6 @@ func (s *Solver) solve(w *workload.W, nib *nibble.Result) (*Result, error) {
 	// (stageA never writes external data into s.nibRes, so no clearing is
 	// needed when switching back to internal solves.)
 	s.external = nib != nil
-	for _, a := range s.arenas {
-		a.Reset()
-	}
 	s.mapArena[0].Reset()
 	s.mapArena[1].Reset()
 	s.mapFlip = 1
@@ -183,7 +191,7 @@ func (s *Solver) solve(w *workload.W, nib *nibble.Result) (*Result, error) {
 	// Steps 1+2, fused per object: nibble placement, nearest-copy
 	// assignment, deletion, leaf/inner partition.
 	par.ForEach(workers, numObjects, func(wk, x int) {
-		s.errs[x] = s.stageA(wk, x, nib, s.arenas[wk])
+		s.errs[x] = s.stageA(wk, x, nib)
 	})
 	for _, err := range s.errs {
 		if err != nil {
@@ -226,7 +234,7 @@ func (s *Solver) solve(w *workload.W, nib *nibble.Result) (*Result, error) {
 	// Per-object finish: merge (and optional nearest reassignment),
 	// leaf-only check, validation.
 	par.ForEach(workers, numObjects, func(wk, x int) {
-		s.errs[x] = s.finishObject(wk, x, s.arenas[wk])
+		s.errs[x] = s.finishObject(wk, x)
 	})
 	for _, err := range s.errs {
 		if err != nil {
@@ -287,10 +295,10 @@ func (s *Solver) Resolve(changed []int) (*Result, error) {
 	s.ready = false
 	prevMapped := s.mapped
 
-	// Steps 1+2 for the changed objects only. Allocations go to the heap:
-	// the arenas still back every unchanged object's records.
+	// Steps 1+2 for the changed objects only; each overwrites its own
+	// slot, so the unchanged objects' records stay untouched.
 	par.ForEach(workers, len(list), func(wk, i int) {
-		s.errs[i] = s.stageA(wk, list[i], nil, nil)
+		s.errs[i] = s.stageA(wk, list[i], nil)
 	})
 	for _, err := range s.errs[:len(list)] {
 		if err != nil {
@@ -347,7 +355,7 @@ func (s *Solver) Resolve(changed []int) (*Result, error) {
 	}
 
 	par.ForEach(workers, len(cf), func(wk, i int) {
-		s.errs[i] = s.finishObject(wk, cf[i], nil)
+		s.errs[i] = s.finishObject(wk, cf[i])
 	})
 	for _, err := range s.errs[:len(cf)] {
 		if err != nil {
@@ -362,8 +370,11 @@ func (s *Solver) Resolve(changed []int) (*Result, error) {
 
 // stageA runs Steps 1+2 for one object: nibble placement (unless an
 // external result was provided), nearest-copy assignment, deletion, and
-// the leaf/inner partition flag.
-func (s *Solver) stageA(wk, x int, nib *nibble.Result, a *placement.Arena) error {
+// the leaf/inner partition flag. The records are built in the worker's
+// arena and packed into the object's stage slot.
+func (s *Solver) stageA(wk, x int, nib *nibble.Result) error {
+	a := s.arenas[wk]
+	a.Reset()
 	var op nibble.ObjectPlacement
 	if nib != nil {
 		op = nib.Objects[x]
@@ -395,6 +406,7 @@ func (s *Solver) stageA(wk, x int, nib *nibble.Result, a *placement.Arena) error
 		}
 	}
 	s.leafOnly[x] = leafOnly
+	s.stage[x].Pack(&s.nibP.Copies[x], &s.modP.Copies[x])
 	return nil
 }
 
@@ -413,8 +425,11 @@ func (s *Solver) runMapping(a *placement.Arena) (*placement.P, *mapping.Trace, e
 
 // finishObject produces one object's final leaf placement: per-node merge
 // of its (modified or mapped) copies, optional nearest reassignment, the
-// leaf-only safety check and demand-coverage validation.
-func (s *Solver) finishObject(wk, x int, a *placement.Arena) error {
+// leaf-only safety check and demand-coverage validation. The records are
+// built in the worker's arena and packed into the object's final slot.
+func (s *Solver) finishObject(wk, x int) error {
+	a := s.arenas[wk]
+	a.Reset()
 	cs := s.res.Modified.Copies[x]
 	if !s.leafOnly[x] {
 		cs = s.mapped.Copies[x]
@@ -438,6 +453,7 @@ func (s *Solver) finishObject(wk, x int, a *placement.Arena) error {
 		}
 	}
 	s.finalP.Copies[x] = merged
+	s.final[x].Pack(&s.finalP.Copies[x])
 	if err := s.finalP.ValidateObject(s.t, s.w, x, s.valReads[wk], s.valWrites[wk]); err != nil {
 		return fmt.Errorf("core: internal error: %w", err)
 	}

@@ -108,3 +108,48 @@ func TestDriftTriggerFlipsHotspotResolveLoss(t *testing.T) {
 		t.Fatal("the drift trigger never fired")
 	}
 }
+
+// An epoch pass measures its drift while folding it: the magnitude it logs
+// must equal, bit for bit, the trigger's pre-check (driftMagnitudeLocked)
+// taken just before the pass, with the drift trigger off and armed.
+func TestEpochDriftMagnitudeMatchesPreCheck(t *testing.T) {
+	tr := tree.SCICluster(4, 6, 16, 8)
+	const objects = 24
+	trace := workload.Diurnal(rand.New(rand.NewSource(2)), tr, objects, 12000, 4000, 0.08)
+	cadenceOnly := Options{Shards: 4, EpochRequests: 1000, Threshold: 6, DecayShift: 1}
+	for _, opts := range []Options{cadenceOnly, driftFixOptions(cadenceOnly)} {
+		c, err := NewCluster(tr, objects, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		passes := 0
+		for i := 0; i < len(trace); i += 700 {
+			if _, err := c.Ingest(trace[i:min(i+700, len(trace))]); err != nil {
+				t.Fatal(err)
+			}
+			c.epochMu.Lock()
+			want := c.driftMagnitudeLocked()
+			c.epochMu.Unlock()
+			before := len(c.EpochLog())
+			if err := c.ResolveNow(); err != nil {
+				t.Fatal(err)
+			}
+			log := c.EpochLog()
+			if len(log) == before {
+				continue // nothing drifted since the last pass
+			}
+			if got := log[len(log)-1].DriftMagnitude; got != want {
+				t.Fatalf("DriftThreshold %v, chunk %d: pass logged drift %v, pre-check measured %v", opts.DriftThreshold, i/700, got, want)
+			}
+			if want > 0 {
+				passes++
+			}
+		}
+		if passes == 0 {
+			t.Fatalf("DriftThreshold %v: no pass measured any drift", opts.DriftThreshold)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -181,7 +181,11 @@ type EpochStat struct {
 	StaticCongestion float64
 	// MaxEdgeLoad is the cluster's served max edge load after adoption.
 	MaxEdgeLoad int64
-	// ResolveNs is the wall time of the solver call.
+	// ResolveNs is the wall time of the whole pass, not just its solver
+	// call: drift measure and fold, Solve or Resolve, and adoption; for a
+	// reconfiguration, the whole reconfiguration including its migration
+	// solve. (The name predates that scope and is kept because snapshots
+	// persist it.)
 	ResolveNs int64
 	// Trigger records what fired the pass: "cadence" (EpochRequests),
 	// "drift" (the drift-magnitude trigger), or "manual" (ResolveNow and
@@ -210,7 +214,7 @@ type Stats struct {
 	Reconfigs   int64         // topology reconfigurations completed
 	Drifted     int64         // objects re-solved, summed over passes
 	AdoptMoved  int64         // adoption movement distance, summed (incl. migration)
-	ResolveTime time.Duration // total solver wall time (incl. migration solves)
+	ResolveTime time.Duration // total epoch-pass wall time, Σ EpochStat.ResolveNs (name kept: snapshots persist it)
 	// DroppedLoad / DroppedServiceLoad accumulate the per-reconfigure
 	// ReconfigStats ledger across the cluster's lifetime, closing the
 	// conservation equality Σ ServiceLoad + DroppedServiceLoad ==
@@ -653,7 +657,9 @@ func (c *Cluster) maybeDriftEpoch() error {
 // against the last-adoption distribution rather than cumulative totals
 // keeps a long stable history from diluting a sharp phase shift. Reading
 // each shard's rows under its lock without draining the drift queue keeps
-// the measurement race-free and the epoch pass's own fold intact.
+// the measurement race-free and the epoch pass's own fold intact. This is
+// the drift trigger's pre-check; the pass itself takes the same
+// measurement while it folds (collectDriftLocked).
 func (c *Cluster) driftMagnitudeLocked() float64 {
 	leaves := c.t.Leaves()
 	var num, den float64
@@ -723,17 +729,21 @@ func (c *Cluster) objectDriftLocked(row []workload.Access, x int, leaves []tree.
 // collectDriftLocked drains every shard tracker's drift into the solver
 // workload (caller holds epochMu) and returns the drifted object list,
 // which aliases c.changedBuf's backing array and is valid until the next
-// collection. Object rows are partitioned (object x only ever recorded by
-// shard x % Shards), so reading row x from its owner's tracker under the
-// owner's lock is exact and race-free. Each drifted object's solver row
-// ages by DecayShift halvings, then absorbs the delta observed since the
-// last fold (with DecayShift 0 this reduces to the plain cumulative
-// frequencies).
-func (c *Cluster) collectDriftLocked() []int {
-	changed := c.changedBuf[:0]
+// collection, together with the drift magnitude of the folded traffic.
+// The magnitude is driftMagnitudeLocked's, taken from each object's drift
+// just before its row is folded: the drain visits the same queue in the
+// same order as DriftedFunc, so the sums match bit for bit. Object rows
+// are partitioned (object x only ever recorded by shard x % Shards), so
+// reading row x from its owner's tracker under the owner's lock is exact
+// and race-free. Each drifted object's solver row ages by DecayShift
+// halvings, then absorbs the delta observed since the last fold (with
+// DecayShift 0 this reduces to the plain cumulative frequencies).
+func (c *Cluster) collectDriftLocked() (changed []int, driftMag float64) {
+	changed = c.changedBuf[:0]
 	leaves := c.t.Leaves()
 	shift := c.opts.DecayShift
 	armed := c.opts.DriftThreshold > 0
+	var num, den float64
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		from := len(changed)
@@ -741,6 +751,11 @@ func (c *Cluster) collectDriftLocked() []int {
 		shw := sh.tracker.Workload()
 		for _, x := range changed[from:] {
 			row := shw.Row(x)
+			dTot, d := c.objectDriftLocked(row, x, leaves)
+			if dTot > 0 { // dTot <= 0: queued by a reconfigure re-warm, no new traffic
+				num += float64(dTot) * d
+				den += float64(dTot)
+			}
 			// With the drift trigger armed, the fold also discounts the
 			// object's decayed history by its measured drift: an object
 			// whose new traffic lands where the old did (d near 0) keeps
@@ -750,10 +765,8 @@ func (c *Cluster) collectDriftLocked() []int {
 			// distribution that no longer exists for several folds after
 			// a phase shift, and the adopted placement lags the traffic.
 			keep := 1.0
-			if armed {
-				if _, d := c.objectDriftLocked(row, x, leaves); d > 0 {
-					keep = 1 - d/2
-				}
+			if armed && d > 0 {
+				keep = 1 - d/2
 			}
 			for _, v := range leaves {
 				cur, old, was := row[v], c.prev.At(x, v), c.w.At(x, v)
@@ -772,19 +785,20 @@ func (c *Cluster) collectDriftLocked() []int {
 		sh.mu.Unlock()
 	}
 	c.changedBuf = changed[:0] // keep capacity; the list itself is consumed by the caller
-	return changed
+	if den > 0 {
+		driftMag = num / den
+	}
+	return changed, driftMag
 }
 
 func (c *Cluster) resolveEpochLocked(trigger string) error {
 	start := time.Now()
 	startReqs := c.served.Load() // snapshot: ingestion continues during the pass
 
-	// Measured before the fold below overwrites c.prev — this is the drift
-	// the pass is reacting to, recorded for every pass so cadence and
+	// The drift the pass is reacting to, measured by the fold before it
+	// overwrites c.prev and recorded for every pass so cadence and
 	// drift-triggered epochs are comparable in the log.
-	driftMag := c.driftMagnitudeLocked()
-
-	changed := c.collectDriftLocked()
+	changed, driftMag := c.collectDriftLocked()
 
 	if len(changed) == 0 && c.solved {
 		return nil
