@@ -8,34 +8,27 @@ import (
 )
 
 // The -churn benchmark runs the compound fault-injection scenarios
-// (internal/chaos) twice each — once with stop-the-world Reconfigure,
-// once with ReconfigureRolling — and reports the ingest-visible cost of
-// churn: the maximum single write-gate stall a reconfiguration imposed,
-// the p99 per-batch ingest latency while faults were landing, and the
+// (internal/chaos) and reports the ingest-visible cost of churn: the
+// maximum single write-gate stall a reconfiguration imposed, the p99
+// per-batch ingest latency while faults were landing, and the
 // conservation ledger (dropped switch load accounted for exactly).
 // chaos.Run verifies the conservation invariants internally, so a bench
 // run doubles as an end-to-end correctness check under real concurrency.
 
-// jsonChurn is one compound scenario's outcome in -json mode, with the
-// stop-the-world and rolling flavors side by side.
+// jsonChurn is one compound scenario's outcome in -json mode. The
+// rolling_* keys match the trajectory recorded in BENCH_pr6.json.
 type jsonChurn struct {
 	Scenario       string  `json:"scenario"`
 	Requests       int64   `json:"requests"`
 	Faults         int     `json:"faults"`
-	StwApplied     int     `json:"stw_faults_applied"`
-	RollApplied    int     `json:"rolling_faults_applied"`
-	StwMaxStallMS  float64 `json:"stw_max_stall_ms"`
-	RollMaxStallMS float64 `json:"rolling_max_stall_ms"`
-	// StallRatio is stw / rolling: how much longer the worst ingest stall
-	// is when every shard swaps behind one global gate hold.
-	StallRatio     float64 `json:"stall_ratio,omitempty"`
-	StwP99MS       float64 `json:"stw_p99_ms"`
-	RollP99MS      float64 `json:"rolling_p99_ms"`
+	Applied        int     `json:"rolling_faults_applied"`
+	MaxStallMS     float64 `json:"rolling_max_stall_ms"`
+	P99MS          float64 `json:"rolling_p99_ms"`
 	DroppedService int64   `json:"dropped_service_load"`
 }
 
-// runChurnBench executes every compound chaos scenario in both
-// reconfiguration flavors with identical seeds and traffic.
+// runChurnBench executes every compound chaos scenario with identical
+// seeds and traffic.
 func runChurnBench(quick bool, seed int64) ([]jsonChurn, error) {
 	base := chaos.Options{
 		Seed:       seed,
@@ -61,45 +54,31 @@ func runChurnBench(quick bool, seed int64) ([]jsonChurn, error) {
 		if s.Name == "scaleout-write-storm" {
 			o.WriteFrac = 0.8
 		}
-		o.Rolling = false
-		stw, err := chaos.Run(s, o)
+		res, err := chaos.Run(s, o)
 		if err != nil {
-			return nil, fmt.Errorf("churn %s (stop-the-world): %w", s.Name, err)
+			return nil, fmt.Errorf("churn %s: %w", s.Name, err)
 		}
-		o.Rolling = true
-		roll, err := chaos.Run(s, o)
-		if err != nil {
-			return nil, fmt.Errorf("churn %s (rolling): %w", s.Name, err)
-		}
-		js := jsonChurn{
+		out = append(out, jsonChurn{
 			Scenario:       s.Name,
-			Requests:       stw.Requests,
+			Requests:       res.Requests,
 			Faults:         len(s.Faults),
-			StwApplied:     stw.FaultsApplied,
-			RollApplied:    roll.FaultsApplied,
-			StwMaxStallMS:  ms(stw.MaxIngestStall),
-			RollMaxStallMS: ms(roll.MaxIngestStall),
-			StwP99MS:       ms(stw.P99),
-			RollP99MS:      ms(roll.P99),
-			DroppedService: roll.DroppedServiceLoad,
-		}
-		if roll.MaxIngestStall > 0 {
-			js.StallRatio = float64(stw.MaxIngestStall) / float64(roll.MaxIngestStall)
-		}
-		out = append(out, js)
+			Applied:        res.FaultsApplied,
+			MaxStallMS:     ms(res.MaxIngestStall),
+			P99MS:          ms(res.P99),
+			DroppedService: res.DroppedServiceLoad,
+		})
 	}
 	return out, nil
 }
 
 // printChurnBench renders the -churn results as an aligned table.
 func printChurnBench(results []jsonChurn) {
-	fmt.Printf("churn benchmark: compound fault scripts, stop-the-world vs rolling reconfiguration (%d requests/run)\n",
+	fmt.Printf("churn benchmark: compound fault scripts under live reconfiguration (%d requests/run)\n",
 		results[0].Requests)
-	fmt.Printf("%-22s %7s %7s %13s %14s %8s %9s %10s %9s\n",
-		"scenario", "faults", "applied", "stw-stall-ms", "roll-stall-ms", "ratio", "stw-p99", "roll-p99", "dropped")
+	fmt.Printf("%-22s %7s %7s %13s %9s %9s\n",
+		"scenario", "faults", "applied", "max-stall-ms", "p99-ms", "dropped")
 	for _, r := range results {
-		fmt.Printf("%-22s %7d %7d %13.3f %14.3f %8.1f %9.3f %10.3f %9d\n",
-			r.Scenario, r.Faults, r.RollApplied, r.StwMaxStallMS, r.RollMaxStallMS,
-			r.StallRatio, r.StwP99MS, r.RollP99MS, r.DroppedService)
+		fmt.Printf("%-22s %7d %7d %13.3f %9.3f %9d\n",
+			r.Scenario, r.Faults, r.Applied, r.MaxStallMS, r.P99MS, r.DroppedService)
 	}
 }

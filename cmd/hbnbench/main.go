@@ -12,7 +12,7 @@
 //	hbnbench -experiment none -solverbench -json  # solver benchmarks only
 //	hbnbench -experiment none -serve    # trace-driven serving benchmark
 //	hbnbench -experiment none -reconfig # live topology churn (failover/scale-out/brownout)
-//	hbnbench -experiment none -churn    # compound fault scripts, stop-the-world vs rolling stalls
+//	hbnbench -experiment none -churn    # compound fault scripts, reconfiguration ingest stalls
 //	hbnbench -experiment none -snapshot # crash-consistent snapshot/restore latency, stall, image size
 //	hbnbench -experiment none -ratio    # competitive ratio vs the clairvoyant static optimum
 //	hbnbench -experiment none -ratio -ratioguard BENCH_pr8.json  # fail on >10% ratio regression
@@ -82,7 +82,7 @@ func main() {
 		solverB    = flag.Bool("solverbench", false, "measure the solver benchmarks (warm/cold Solve, Resolve) and emit them in -json mode")
 		serveB     = flag.Bool("serve", false, "run the trace-driven serving benchmark (sharded cluster, epoch re-solve vs baseline vs clairvoyant static)")
 		reconfigB  = flag.Bool("reconfig", false, "run the live-reconfiguration benchmark (failover, scale-out, brownout: reconfigure latency, req/s during churn, congestion vs a cold restart)")
-		churnB     = flag.Bool("churn", false, "run the adversarial churn benchmark (compound fault-injection scenarios, stop-the-world vs rolling reconfiguration ingest stalls, conservation checked)")
+		churnB     = flag.Bool("churn", false, "run the adversarial churn benchmark (compound fault-injection scenarios, worst reconfiguration ingest stall and p99 ingest latency, conservation checked)")
 		snapshotB  = flag.Bool("snapshot", false, "run the snapshot durability benchmark (crash-consistent snapshot latency, ingest stall, image size, restore-to-first-served-request)")
 		ratioB     = flag.Bool("ratio", false, "run the competitive-ratio benchmark (online congestion over the clairvoyant static optimum, pre-PR-8 flat strategy vs bandwidth-aware budgets with drift-triggered epochs)")
 		ratioGuard = flag.String("ratioguard", "", "baseline BENCH json to compare -ratio post_ratio values against; exit nonzero if any scenario regresses by more than 10% (implies -ratio)")

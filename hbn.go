@@ -110,7 +110,7 @@
 // (frequencies remapped, surviving copies kept in place, lost objects
 // recovered at the nearest surviving leaf, a fresh near-optimal placement
 // solved on the remapped workload), and Cluster.Reconfigure applies all
-// of it to a live cluster atomically, safe under concurrent Ingest:
+// of it to a live cluster, safe under concurrent Ingest:
 //
 //	rs, err := cluster.Reconfigure(hbn.TopologyDiff{
 //	    Remove: []hbn.NodeID{failedLeaf},
@@ -124,20 +124,19 @@
 // throughput during churn, and post-churn congestion against a cold
 // restart on the new topology.
 //
-// Cluster.Reconfigure swaps every shard behind one write-gate hold, so
-// ingestion stalls for the whole migration. Cluster.ReconfigureRolling
-// bounds that stall instead: it plans the same migration while ingestion
-// continues, then migrates one shard at a time — un-migrated shards keep
-// serving the old tree, migrated shards serve the new one through the
-// diff's remap — so the largest single ingest stall is one shard's
-// adoption (ReconfigStats.MaxIngestStall measures it). The final
-// placement is bit-identical to the stop-the-world path. Degenerate
-// diffs are rejected with typed sentinels (ErrRemoveRoot,
-// ErrNoProcessors, ...), and a reconfiguration attempted while another
-// is in flight fails fast with ErrReconfigInProgress — it never queues.
-// `hbnbench -churn` drives compound fault scripts (cascading failovers,
-// flapping links, scale-out under a write storm) through both flavors
-// and checks the conservation invariants.
+// Reconfigure is a staged (rolling) swap that bounds the ingest stall:
+// it plans the migration while ingestion continues, then migrates one
+// shard at a time — un-migrated shards keep serving the old tree,
+// migrated shards serve the new one through the diff's remap — so the
+// largest single ingest stall is one shard's adoption
+// (ReconfigStats.MaxIngestStall measures it). On a quiesced cluster the
+// final placement is exactly what swapping every shard at once would
+// give. Degenerate diffs are rejected with typed sentinels
+// (ErrRemoveRoot, ErrNoProcessors, ...), and a reconfiguration attempted
+// while another is in flight fails fast with ErrReconfigInProgress — it
+// never queues. `hbnbench -churn` drives compound fault scripts
+// (cascading failovers, flapping links, scale-out under a write storm)
+// through it and checks the conservation invariants.
 //
 // # Durability
 //
@@ -269,7 +268,7 @@ type (
 const None = tree.None
 
 // Typed reconfiguration errors, matched with errors.Is through the
-// wrapped errors Reconfigure / ReconfigureRolling / ApplyDiff return.
+// wrapped errors Reconfigure / ApplyDiff return.
 var (
 	// ErrReconfigInProgress: another reconfiguration already holds the
 	// cluster's flag; the attempt failed fast and nothing was queued.

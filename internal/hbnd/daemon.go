@@ -437,13 +437,7 @@ func (d *Daemon) snapshotNow() (*wire.SnapshotResult, error) {
 func (d *Daemon) reconfigure(req *wire.ReconfigRequest) (*wire.ReconfigResult, error) {
 	d.applyMu.Lock()
 	defer d.applyMu.Unlock()
-	var rs serve.ReconfigStats
-	var err error
-	if req.Rolling {
-		rs, err = d.cl.ReconfigureRolling(req.Diff)
-	} else {
-		rs, err = d.cl.Reconfigure(req.Diff)
-	}
+	rs, err := d.cl.Reconfigure(req.Diff)
 	if err != nil {
 		return nil, err
 	}

@@ -304,10 +304,7 @@ func TestDaemonReconfigureOverWire(t *testing.T) {
 	// Remove one leaf ring's processor: pick the last leaf.
 	leaves := d.Cluster().Tree().Leaves()
 	victim := leaves[len(leaves)-1]
-	res, err := cl.Reconfigure(&wire.ReconfigRequest{
-		Rolling: true,
-		Diff:    topoDiffRemove(victim),
-	})
+	res, err := cl.Reconfigure(&wire.ReconfigRequest{Diff: topoDiffRemove(victim)})
 	if err != nil {
 		t.Fatal(err)
 	}

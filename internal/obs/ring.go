@@ -33,7 +33,7 @@ func (k Kind) String() string {
 // Reconfiguration / handoff phase codes carried in an event's A field.
 const (
 	PhaseBegin  = 1
-	PhaseShard  = 2 // one shard swapped (rolling); Shard holds the index
+	PhaseShard  = 2 // one shard swapped; Shard holds the index
 	PhaseCommit = 3
 )
 

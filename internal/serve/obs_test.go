@@ -47,7 +47,7 @@ func checkReconciled(t *testing.T, c *Cluster) {
 
 // TestObsLedgerReconciliation drives a cluster through epochs, a drift
 // trigger, a reconfiguration that drops hardware (and load with it), and
-// a rolling swap, checking after each stage that the obs counters and
+// an identity swap, checking after each stage that the obs counters and
 // the conservation ledger agree exactly.
 func TestObsLedgerReconciliation(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
@@ -71,8 +71,8 @@ func TestObsLedgerReconciliation(t *testing.T) {
 	}
 	checkReconciled(t, c)
 
-	// Stop-the-world reconfigure removing one ring switch: loads on its
-	// edges are dropped; the obs drop counters must move in lockstep.
+	// Reconfigure removing one ring switch: loads on its edges are
+	// dropped; the obs drop counters must move in lockstep.
 	doomed := tree.NodeID(1 + 2*(4+1))
 	if _, err := c.Reconfigure(topo.Diff{Remove: []tree.NodeID{doomed}}); err != nil {
 		t.Fatal(err)
@@ -83,8 +83,8 @@ func TestObsLedgerReconciliation(t *testing.T) {
 	}
 	checkReconciled(t, c)
 
-	// Keep serving on the new tree (remap the trace), then roll back in a
-	// grafted replacement and check again.
+	// Keep serving on the new tree (stable leaves keep their IDs), then
+	// run an identity swap and check again.
 	for lo := half; lo < len(trace); lo += 512 {
 		hi := min(lo+512, len(trace))
 		batch := append([]Request(nil), trace[lo:hi]...)
@@ -101,7 +101,7 @@ func TestObsLedgerReconciliation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.ReconfigureRolling(topo.Diff{}); err != nil {
+	if _, err := c.Reconfigure(topo.Diff{}); err != nil {
 		t.Fatal(err)
 	}
 	checkReconciled(t, c)
@@ -159,17 +159,17 @@ func TestObsIngestHistogram(t *testing.T) {
 	}
 }
 
-// TestNoTelemetry pins the disable switch used by the overhead-guard
+// TestNoTelemetry pins the test hook behind the overhead benchmark's
 // baseline: no registry, and serving still works.
 func TestNoTelemetry(t *testing.T) {
 	tr := tree.SCICluster(3, 3, 8, 4)
-	c, err := NewCluster(tr, 8, Options{Threshold: 3, NoTelemetry: true})
+	c, err := NewCluster(tr, 8, withoutTelemetry(Options{Threshold: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	if c.Obs() != nil {
-		t.Fatal("Obs() should be nil with NoTelemetry")
+		t.Fatal("Obs() should be nil with telemetry disabled")
 	}
 	leaf := tr.Leaves()[0]
 	if _, err := c.Ingest([]Request{{Object: 1, Node: leaf, Write: false}}); err != nil {

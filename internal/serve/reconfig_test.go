@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -83,42 +85,70 @@ func TestReconfigureIdentityMatchesEpochPass(t *testing.T) {
 // scratch — ending bit-identical to a cluster that never saw the failed
 // call (found in review: the drift fold used to be dropped on the error
 // path, leaving mutated rows the incremental Resolve was never told
-// about).
+// about). Checked for every kind of rejected diff.
 func TestReconfigureFailureLeavesClusterConsistent(t *testing.T) {
 	tr := tree.SCICluster(3, 4, 16, 8)
+	leaf := tr.Leaves()[0]
+	cases := []struct {
+		name string
+		d    topo.Diff
+		want error
+	}{
+		{"remove root", topo.Diff{Remove: []tree.NodeID{0}}, topo.ErrRemoveRoot},
+		{"remove out of range", topo.Diff{Remove: []tree.NodeID{99}}, topo.ErrRemoveRange},
+		{"overlapping subtrees", topo.Diff{Remove: []tree.NodeID{1, leaf}}, topo.ErrOverlappingRemove},
+		{"remove all processors", topo.Diff{Remove: []tree.NodeID{1, 6, 11}}, topo.ErrNoProcessors},
+		{"bad graft", topo.Diff{Add: []topo.Graft{{Kind: tree.Processor, Parent: leaf}}}, topo.ErrBadGraft},
+		{"bad bandwidth", topo.Diff{
+			SetBusBandwidth: []topo.BusBandwidth{{Node: leaf, Bandwidth: 3}},
+		}, topo.ErrBadBandwidth},
+	}
+	for _, tc := range cases {
+		c1, c2 := armedDriftCluster(t, tr), armedDriftCluster(t, tr)
+		if _, err := c1.Reconfigure(tc.d); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+		requireSameAfterResolve(t, tc.name, c1, c2)
+	}
+}
+
+// armedDriftCluster serves a drifting trace on tr with the incremental
+// solver armed by a successful pass mid-trace and fresh drift left
+// outstanding — the state a failed reconfigure's drift fold corrupts
+// unless the call disarms the solver.
+func armedDriftCluster(t *testing.T, tr *tree.Tree) *Cluster {
+	t.Helper()
 	const objects = 20
 	trace := workload.DriftingZipf(rand.New(rand.NewSource(77)), tr, objects, 5000, 4, 1.0, 0.05)
-	mk := func() *Cluster {
-		// Arm the incremental solver with a successful pass mid-trace, then
-		// leave fresh drift outstanding — the state the failed call's fold
-		// corrupts without the disarm.
-		c, err := NewCluster(tr, objects, Options{Shards: 3, Threshold: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ingestAll(t, c, trace[:len(trace)/2], 250)
-		if err := c.ResolveNow(); err != nil {
-			t.Fatal(err)
-		}
-		ingestAll(t, c, trace[len(trace)/2:], 250)
-		return c
-	}
-	c1, c2 := mk(), mk()
-	if _, err := c1.Reconfigure(topo.Diff{Remove: []tree.NodeID{0}}); err == nil {
-		t.Fatal("removing node 0 must be rejected")
-	}
-	if err := c1.ResolveNow(); err != nil {
+	c, err := NewCluster(tr, objects, Options{Shards: 3, Threshold: 4})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c2.ResolveNow(); err != nil {
+	ingestAll(t, c, trace[:len(trace)/2], 250)
+	if err := c.ResolveNow(); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(c1.EdgeLoad(), c2.EdgeLoad()) {
-		t.Fatal("edge loads diverged after a failed reconfigure")
+	ingestAll(t, c, trace[len(trace)/2:], 250)
+	return c
+}
+
+// requireSameAfterResolve runs an epoch pass on failed (which saw a
+// rejected reconfigure) and on twin (which did not) and requires them to
+// end bit-identical.
+func requireSameAfterResolve(t *testing.T, name string, failed, twin *Cluster) {
+	t.Helper()
+	if err := failed.ResolveNow(); err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
-	for x := 0; x < objects; x++ {
-		if !slices.Equal(c1.Copies(x), c2.Copies(x)) {
-			t.Fatalf("object %d: copies diverged after a failed reconfigure", x)
+	if err := twin.ResolveNow(); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !slices.Equal(failed.EdgeLoad(), twin.EdgeLoad()) {
+		t.Fatalf("%s: edge loads diverged after a failed reconfigure", name)
+	}
+	for x := 0; x < failed.numObjects; x++ {
+		if !slices.Equal(failed.Copies(x), twin.Copies(x)) {
+			t.Fatalf("%s: object %d: copies diverged after a failed reconfigure", name, x)
 		}
 	}
 }
@@ -135,91 +165,107 @@ func TestReconfigureFailoverEveryLeaf(t *testing.T) {
 	tr := tree.SCICluster(3, 4, 16, 8)
 	const objects = 18
 	trace := workload.DriftingZipf(rand.New(rand.NewSource(5)), tr, objects, 4000, 3, 1.0, 0.08)
-
 	for _, victim := range tr.Leaves() {
-		c, err := NewCluster(tr, objects, Options{Shards: 2, Threshold: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ingestAll(t, c, trace, 200)
+		checkColdSolveOracle(t, fmt.Sprintf("victim %d", victim), tr, objects, trace,
+			Options{Shards: 2, Threshold: 3}, 200, topo.Diff{Remove: []tree.NodeID{victim}})
+	}
+}
 
-		before := c.EdgeLoad()
-		var beforeTotal int64
-		for _, l := range before {
-			beforeTotal += l
-		}
-		reqBefore := c.Stats().Requests
-		hadCopies := make([]bool, objects)
-		for x := 0; x < objects; x++ {
-			hadCopies[x] = len(c.Copies(x)) > 0
-		}
+// checkColdSolveOracle serves trace on a fresh cluster, applies d, and
+// checks the failover properties listed on TestReconfigureFailoverEveryLeaf
+// plus the stall report and post-swap serving with remapped IDs. The cold
+// Solve it compares against is what a stop-the-world migration computes:
+// the quiesced cluster's frequencies, remapped, solved from scratch.
+func checkColdSolveOracle(t *testing.T, name string, tr *tree.Tree, objects int, trace []Request, opts Options, batch int, d topo.Diff) {
+	t.Helper()
+	c, err := NewCluster(tr, objects, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestAll(t, c, trace, batch)
 
-		rs, err := c.Reconfigure(topo.Diff{Remove: []tree.NodeID{victim}})
-		if err != nil {
-			t.Fatalf("victim %d: %v", victim, err)
-		}
+	before := c.EdgeLoad()
+	var beforeTotal int64
+	for _, l := range before {
+		beforeTotal += l
+	}
+	reqBefore := c.Stats().Requests
+	hadCopies := make([]bool, objects)
+	for x := 0; x < objects; x++ {
+		hadCopies[x] = len(c.Copies(x)) > 0
+	}
 
-		// (2) Conservation.
-		if got := c.Stats().Requests; got != reqBefore {
-			t.Fatalf("victim %d: requests %d, want %d", victim, got, reqBefore)
-		}
-		var dropped int64
-		for e, l := range before {
-			if rs.Remap.Edge[e] == tree.NoEdge {
-				dropped += l
-			}
-		}
-		if got := c.TotalLoad(); got != beforeTotal-dropped {
-			t.Fatalf("victim %d: total load %d, want %d - %d", victim, got, beforeTotal, dropped)
-		}
+	rs, err := c.Reconfigure(d)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if rs.MaxIngestStall <= 0 || rs.MaxIngestStall > rs.Elapsed {
+		t.Fatalf("%s: stall %v outside (0, %v]", name, rs.MaxIngestStall, rs.Elapsed)
+	}
 
-		// (1) No object is copyless.
-		for x := 0; x < objects; x++ {
-			if hadCopies[x] && len(c.Copies(x)) == 0 {
-				t.Fatalf("victim %d: object %d lost all copies", victim, x)
-			}
+	// (2) Conservation.
+	if got := c.Stats().Requests; got != reqBefore {
+		t.Fatalf("%s: requests %d, want %d", name, got, reqBefore)
+	}
+	var dropped int64
+	for e, l := range before {
+		if rs.Remap.Edge[e] == tree.NoEdge {
+			dropped += l
 		}
+	}
+	if got := c.TotalLoad(); got != beforeTotal-dropped {
+		t.Fatalf("%s: total load %d, want %d - %d", name, got, beforeTotal, dropped)
+	}
+	if dropped != rs.DroppedLoad {
+		t.Fatalf("%s: dropped load %d, stats report %d", name, dropped, rs.DroppedLoad)
+	}
 
-		// (3) Adopted placement == cold Solve on the remapped frequencies.
-		w := workload.New(objects, tr.Len())
-		w.AddTrace(trace)
-		nw := rs.Remap.Workload(w)
-		solver, err := core.NewSolver(c.Tree(), core.Options{MappingRoot: tree.None})
-		if err != nil {
-			t.Fatal(err)
+	// (1) No object is copyless.
+	for x := 0; x < objects; x++ {
+		if hadCopies[x] && len(c.Copies(x)) == 0 {
+			t.Fatalf("%s: object %d lost all copies", name, x)
 		}
-		cold, err := solver.Solve(nw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for x := 0; x < objects; x++ {
-			if nw.TotalWeight(x) == 0 {
-				continue // no surviving demand: the object keeps its projection
-			}
-			var want []tree.NodeID
-			for _, cp := range cold.Final.Copies[x] {
-				want = append(want, cp.Node)
-			}
-			slices.Sort(want)
-			if got := c.Copies(x); !slices.Equal(got, want) {
-				t.Fatalf("victim %d object %d: adopted %v, cold solve %v", victim, x, got, want)
-			}
-		}
+	}
 
-		// Serving continues on the new topology with remapped IDs; the
-		// removed processor is rejected.
-		var resumed []Request
-		for _, ev := range trace[:400] {
-			if nv := rs.Remap.Node[ev.Node]; nv != tree.None {
-				resumed = append(resumed, Request{Object: ev.Object, Node: nv, Write: ev.Write})
-			}
+	// (3) Adopted placement == cold Solve on the remapped frequencies.
+	w := workload.New(objects, tr.Len())
+	w.AddTrace(trace)
+	nw := rs.Remap.Workload(w)
+	solver, err := core.NewSolver(c.Tree(), core.Options{MappingRoot: tree.None})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := solver.Solve(nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for x := 0; x < objects; x++ {
+		if nw.TotalWeight(x) == 0 {
+			continue // no surviving demand: the object keeps its projection
 		}
-		if _, err := c.Ingest(resumed); err != nil {
-			t.Fatalf("victim %d: post-failover ingest: %v", victim, err)
+		var want []tree.NodeID
+		for _, cp := range cold.Final.Copies[x] {
+			want = append(want, cp.Node)
 		}
-		if _, err := c.Ingest([]Request{{Object: 0, Node: tree.NodeID(c.Tree().Len())}}); err == nil {
-			t.Fatalf("victim %d: out-of-range node accepted after reconfigure", victim)
+		slices.Sort(want)
+		if got := c.Copies(x); !slices.Equal(got, want) {
+			t.Fatalf("%s object %d: adopted %v, cold solve %v", name, x, got, want)
 		}
+	}
+
+	// Serving continues on the new topology with remapped IDs; IDs
+	// outside the new tree are rejected.
+	var resumed []Request
+	for _, ev := range trace[:400] {
+		if nv := rs.Remap.Node[ev.Node]; nv != tree.None {
+			resumed = append(resumed, Request{Object: ev.Object, Node: nv, Write: ev.Write})
+		}
+	}
+	if _, err := c.Ingest(resumed); err != nil {
+		t.Fatalf("%s: post-failover ingest: %v", name, err)
+	}
+	if _, err := c.Ingest([]Request{{Object: 0, Node: tree.NodeID(c.Tree().Len())}}); err == nil {
+		t.Fatalf("%s: out-of-range node accepted after reconfigure", name)
 	}
 }
 

@@ -55,8 +55,8 @@ type Request = workload.TraceEvent
 
 // ErrClosed reports an operation on a cluster after Close. Accessors
 // (loads, stats, copies, snapshots) stay usable on a closed cluster; the
-// mutating paths — Ingest, ResolveNow, Reconfigure, ReconfigureRolling —
-// fail with an error satisfying errors.Is(err, ErrClosed).
+// mutating paths — Ingest, ResolveNow, Reconfigure — fail with an error
+// satisfying errors.Is(err, ErrClosed).
 var ErrClosed = errors.New("serve: cluster is closed")
 
 // ErrBadOptions reports an invalid Options value, matched with errors.Is
@@ -125,16 +125,16 @@ type Options struct {
 	// average. Objects with no new traffic keep their frequencies either
 	// way, so the incremental Resolve contract is preserved.
 	DecayShift uint
-	// NoTelemetry disables the cluster's obs registry: Obs returns nil
-	// and the serving paths skip all counter/histogram updates. Telemetry
-	// is on by default and costs a handful of uncontended atomic adds per
-	// batch (pinned within 3% of the bare path by the CI overhead guard);
-	// this switch exists for that guard's baseline measurement, not for
-	// production use.
-	NoTelemetry bool
 	// FlightRecorderSize bounds the obs flight recorder (most recent N
 	// structural events, rounded up to a power of two). <= 0 means 1024.
 	FlightRecorderSize int
+
+	// noTelemetry disables the cluster's obs registry: Obs returns nil
+	// and the serving paths skip all counter/histogram updates. Telemetry
+	// is always on in production and costs a handful of uncontended atomic
+	// adds per batch; the switch exists only for the baseline of the
+	// telemetry overhead benchmark and is set by the package's tests.
+	noTelemetry bool
 }
 
 // validate rejects option values that would silently change serving
@@ -230,7 +230,7 @@ type shard struct {
 	tracker *dynamic.OfflineTracker
 	cost    int64 // total service cost of this shard
 	// obsb is this shard's padded telemetry counter block (nil with
-	// Options.NoTelemetry). Held directly so the per-batch booking is a
+	// telemetry disabled). Held directly so the per-batch booking is a
 	// concrete atomic add on the shard's own cache line — no interface
 	// dispatch, no sharing with neighbouring shards.
 	obsb *obs.Block
@@ -400,15 +400,15 @@ type Cluster struct {
 	done         chan struct{}
 	wg           sync.WaitGroup
 
-	// obs is the cluster's telemetry registry (nil with NoTelemetry).
-	// All registry state is atomic; hot paths hold direct pointers into
-	// it (each shard's obsb block).
+	// obs is the cluster's telemetry registry (nil with telemetry
+	// disabled). All registry state is atomic; hot paths hold direct
+	// pointers into it (each shard's obsb block).
 	obs *obs.Registry
 
-	// reconfiguring serializes Reconfigure/ReconfigureRolling calls: a
-	// second call arriving while one is in flight fails fast with
+	// reconfiguring serializes Reconfigure and Snapshot calls: a second
+	// call arriving while one is in flight fails fast with
 	// ErrReconfigInProgress instead of queueing behind epochMu (which a
-	// rolling call holds for its whole duration).
+	// reconfiguration holds for its whole duration).
 	reconfiguring atomic.Bool
 	// roll is the staged reconfiguration in flight, nil otherwise.
 	// Written only inside quiesce (the full ingest gate); read under the
@@ -470,7 +470,7 @@ func NewCluster(t *tree.Tree, numObjects int, opts Options) (*Cluster, error) {
 		w:          workload.New(numObjects, t.Len()),
 		prev:       workload.New(numObjects, t.Len()),
 	}
-	if !opts.NoTelemetry {
+	if !opts.noTelemetry {
 		fr := opts.FlightRecorderSize
 		if fr <= 0 {
 			fr = 1024
@@ -966,9 +966,10 @@ func (c *Cluster) Close() error {
 // threshold-driven copy movement) summed over all shards, indexed by the
 // current topology's edge IDs.
 func (c *Cluster) EdgeLoad() []int64 {
-	// The read lock pins the topology: Reconfigure write-acquires closeMu
-	// before swapping the tree and the shard strategies, so the edge count
-	// and every shard's load vector are mutually consistent here.
+	// The read lock pins the topology generation: Reconfigure publishes
+	// and commits its roll under quiesce (closeMu's write side), so the
+	// edge space and the roll state are fixed here, and each shard's load
+	// vector is read under that shard's own lock.
 	c.closeMu.RLock()
 	defer c.closeMu.RUnlock()
 	return c.edgeLoadLocked()
@@ -1048,11 +1049,11 @@ func (c *Cluster) TotalLoad() int64 {
 }
 
 // Tree returns the cluster's current network. After a Reconfigure this is
-// the post-diff tree; while a staged reconfiguration is mid-swap it is
-// the NEW tree, so (Tree, EdgeLoad) stay mutually consistent at every
-// instant (Ingest addressing stays old-ID until the roll commits). The
-// returned value is immutable and remains valid (as a snapshot of that
-// topology generation) across later reconfigures.
+// the post-diff tree; while a reconfiguration is mid-swap it is the NEW
+// tree, so (Tree, EdgeLoad) stay mutually consistent at every instant
+// (Ingest addressing stays old-ID until the roll commits). The returned
+// value is immutable and remains valid (as a snapshot of that topology
+// generation) across later reconfigures.
 func (c *Cluster) Tree() *tree.Tree {
 	c.closeMu.RLock()
 	defer c.closeMu.RUnlock()
@@ -1105,11 +1106,12 @@ func (c *Cluster) EpochLog() []EpochStat {
 func (c *Cluster) Shards() int { return len(c.shards) }
 
 // Obs returns the cluster's telemetry registry, or nil when the cluster
-// was built with Options.NoTelemetry. The registry is live: counters and
-// histograms may be read at any time (they are exact once all concurrent
-// Ingest calls have returned, like Stats), and the per-shard event/cost
-// counters reconcile exactly with Stats' conservation ledger at
-// quiescence — the chaos harness asserts that equality after every run.
+// was built with telemetry disabled (a test-only baseline). The registry
+// is live: counters and histograms may be read at any time (they are
+// exact once all concurrent Ingest calls have returned, like Stats), and
+// the per-shard event/cost counters reconcile exactly with Stats'
+// conservation ledger at quiescence — the chaos harness asserts that
+// equality after every run.
 func (c *Cluster) Obs() *obs.Registry { return c.obs }
 
 // OpCounts merges the structural decision counters (replications,

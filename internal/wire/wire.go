@@ -728,19 +728,17 @@ func ParseSnapshotResult(body []byte) (*SnapshotResult, error) {
 
 // ---- Reconfigure ----
 
-// ReconfigRequest is a TReconfig body: the diff plus the flavor.
+// ReconfigRequest is a TReconfig body: the topology diff.
 type ReconfigRequest struct {
-	Rolling bool
-	Diff    topo.Diff
+	Diff topo.Diff
 }
 
-// AppendReconfig encodes a TReconfig body.
+// AppendReconfig encodes a TReconfig body. The leading flags byte is
+// reserved and always zero; ParseReconfig rejects any set bit, so a
+// request asking for a reconfiguration mode the daemon lacks is refused
+// instead of silently served another way.
 func AppendReconfig(dst []byte, r *ReconfigRequest) []byte {
-	var flags byte
-	if r.Rolling {
-		flags |= 1
-	}
-	dst = append(dst, flags)
+	dst = append(dst, 0) // flags
 	dst = binary.AppendUvarint(dst, uint64(len(r.Diff.Remove)))
 	for _, v := range r.Diff.Remove {
 		dst = binary.AppendUvarint(dst, uint64(v))
@@ -777,11 +775,9 @@ func AppendReconfig(dst []byte, r *ReconfigRequest) []byte {
 func ParseReconfig(body []byte) (*ReconfigRequest, error) {
 	d := &dec{b: body}
 	r := &ReconfigRequest{}
-	flags := d.byte()
-	if d.err == nil && flags&^byte(1) != 0 {
+	if flags := d.byte(); d.err == nil && flags != 0 {
 		d.fail("unknown reconfig flags %#x", flags)
 	}
-	r.Rolling = flags&1 != 0
 	nr := d.count(math.MaxInt32, 1, "removal")
 	if d.err != nil {
 		return nil, d.err

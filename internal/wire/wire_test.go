@@ -144,7 +144,6 @@ func TestReconfigRoundTrip(t *testing.T) {
 	// Graft names are deliberately not carried on the wire, so the
 	// round-trip fixture leaves them empty.
 	req := &ReconfigRequest{
-		Rolling: true,
 		Diff: topo.Diff{
 			Remove: []tree.NodeID{3, 9},
 			Add: []topo.Graft{
@@ -163,7 +162,7 @@ func TestReconfigRoundTrip(t *testing.T) {
 		t.Fatalf("got %+v, want %+v", got, req)
 	}
 
-	// Empty diff, non-rolling.
+	// Empty diff.
 	req2 := &ReconfigRequest{}
 	got2, err := ParseReconfig(AppendReconfig(nil, req2))
 	if err != nil {
@@ -171,6 +170,19 @@ func TestReconfigRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got2, req2) {
 		t.Fatalf("got %+v, want %+v", got2, req2)
+	}
+}
+
+// The reconfig flags byte is reserved: every bit is rejected with the
+// typed corrupt-frame error, including bit 0, which once selected a
+// second reconfiguration path.
+func TestReconfigRejectsFlags(t *testing.T) {
+	for _, flags := range []byte{0x01, 0x02} {
+		body := AppendReconfig(nil, &ReconfigRequest{})
+		body[0] = flags
+		if _, err := ParseReconfig(body); !errors.Is(err, ErrCorruptFrame) {
+			t.Fatalf("flags %#x: err = %v, want ErrCorruptFrame", flags, err)
+		}
 	}
 }
 
