@@ -141,7 +141,7 @@
 // # Durability
 //
 // A Cluster checkpoints its entire state — topology, per-object copy
-// sets, per-shard frequency trackers and load accounts, epoch counters
+// sets, observed frequencies, per-shard load accounts, epoch counters
 // and solver arming — into a single versioned, checksummed snapshot
 // file, and a cold process restores it into a warm cluster whose
 // subsequent serving is bit-identical to the original's:

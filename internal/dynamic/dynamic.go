@@ -43,7 +43,8 @@
 // per-request body over it in input order. The tradeoff is memory: each
 // touched object keeps O(|V|) copy bits, plus O(|E|) read counters and
 // broadcast stamps once it sees remote reads or replicates (and O(|V|)
-// nearest tables only if it is ever adopted).
+// nearest tables only if it is ever adopted); an untouched object costs
+// one pointer.
 package dynamic
 
 import (
@@ -166,13 +167,10 @@ type Strategy struct {
 	// shared by every object, so the hot-path threshold test stays a
 	// single indexed load with no per-object memory cost.
 	edgeThresh []int32
-	// wBudget/wStreak are the contraction side of the same rent-to-buy
-	// dynamics: wStreak[x] counts consecutive writes of x with no
-	// intervening read, and a multi-copy set contracts only when the
-	// streak reaches wBudget (see Options.WriteBudget). Any read resets
-	// the streak.
+	// wBudget is the contraction side of the same rent-to-buy dynamics: a
+	// multi-copy set contracts only when its object's write streak
+	// (object.wStreak) reaches wBudget (see Options.WriteBudget).
 	wBudget uint32
-	wStreak []uint32
 
 	// pos/subEnd are the shared preorder positions and per-node subtree
 	// end positions (preorder subtrees are contiguous intervals), so "is
@@ -180,48 +178,15 @@ type Strategy struct {
 	pos    []int32
 	subEnd []int32
 
-	// Per-object copy-set state. isCopy/copyList are allocated lazily at
-	// the object's first touch.
-	isCopy   [][]bool
-	copyList [][]tree.NodeID
-	// nearest/ndist are per-node nearest-copy tables — but they exist only
-	// for adopted multi-copy sets (tableValid on), which need not be
-	// connected. Request-driven copy sets are always connected subtrees
-	// grown from the last contraction home, and for a connected set the
-	// nearest copy from any node is the unique entry point of the node's
-	// path towards ANY member — so serving resolves it via anchorTop (see
-	// pathToNearest and serveRead) and never builds, rebuilds or relaxes a
-	// table. This is what keeps writes (contraction) and replication
-	// O(path) instead of O(|V|) BFS. Objects never adopted never allocate
-	// the tables.
-	nearest    [][]tree.NodeID
-	ndist      [][]int32
-	tableValid []bool
-	// readCW packs each edge's read counter with its generation stamp
-	// (gen<<32 | count) so the hot counter test costs one memory access;
-	// a count is valid only while its stamp matches curGen.
-	readCW [][]uint64
-	// anchorTop is the minimum-depth copy of each connected-mode object.
-	// The whole copy subtree hangs below it, so nearest resolution is an
-	// ascending walk for requesters inside its subtree and lands exactly
-	// on anchorTop for requesters outside (see pathToNearest). Maintained
-	// by materialize/contract (the home) and addCopy (a depth compare);
-	// meaningless while tableValid.
-	anchorTop []tree.NodeID
-	curGen    []uint32
+	// objs holds each object's copy-set state, nil until the object's
+	// first touch (materialization, adoption or restore). A strategy that
+	// serves one shard of a large object space pays one pointer for each
+	// object it never sees.
+	objs      []*object
 	pathBuf   []tree.EdgeID
 	steinerCt []int32
 	queue     []tree.NodeID
 	adoptDist []int32 // AdoptCopySet pricing scratch
-
-	// Write-broadcast state: bcast holds the Steiner edges of the copy
-	// set, maintained incrementally (see the package comment). bcastStamp
-	// marks membership (valid when the stamp matches bcastGen) so the
-	// replication append is O(1) and duplicate-free even for adopted
-	// non-connected sets; it is allocated lazily at the first append.
-	bcast      [][]tree.EdgeID
-	bcastStamp [][]uint32
-	bcastGen   []uint32
 
 	// lastBatch is the most recent ServeBatch input, for GroupedBatch.
 	lastBatch []Request
@@ -238,6 +203,51 @@ type Strategy struct {
 	// strategy is single-writer (the owning shard's lock serializes all
 	// mutation), and readers take the same lock via the serving layer.
 	ops OpCounts
+}
+
+// object is the copy-set state of one touched object.
+type object struct {
+	// isCopy marks the copy nodes; copyList lists them in insertion order
+	// (the order seeds a table rebuild's tie-breaking).
+	isCopy   []bool
+	copyList []tree.NodeID
+	// nearest/ndist are per-node nearest-copy tables — but they exist only
+	// for adopted multi-copy sets (tableValid on), which need not be
+	// connected. Request-driven copy sets are always connected subtrees
+	// grown from the last contraction home, and for a connected set the
+	// nearest copy from any node is the unique entry point of the node's
+	// path towards ANY member — so serving resolves it via anchorTop (see
+	// pathToNearest and serveRead) and never builds, rebuilds or relaxes a
+	// table. This is what keeps writes (contraction) and replication
+	// O(path) instead of O(|V|) BFS. Objects never adopted never allocate
+	// the tables.
+	nearest    []tree.NodeID
+	ndist      []int32
+	tableValid bool
+	// readCW packs each edge's read counter with its generation stamp
+	// (gen<<32 | count) so the hot counter test costs one memory access;
+	// a count is valid only while its stamp matches curGen.
+	readCW []uint64
+	curGen uint32
+	// anchorTop is the minimum-depth copy of a connected-mode object. The
+	// whole copy subtree hangs below it, so nearest resolution is an
+	// ascending walk for requesters inside its subtree and lands exactly
+	// on anchorTop for requesters outside (see pathToNearest). Maintained
+	// by materialize/contract (the home) and addCopy (a depth compare);
+	// meaningless while tableValid.
+	anchorTop tree.NodeID
+	// wStreak counts consecutive writes with no intervening read; any read
+	// resets it.
+	wStreak uint32
+
+	// Write-broadcast state: bcast holds the Steiner edges of the copy
+	// set, maintained incrementally (see the package comment). bcastStamp
+	// marks membership (valid when the stamp matches bcastGen) so the
+	// replication append is O(1) and duplicate-free even for adopted
+	// non-connected sets; it is allocated lazily at the first append.
+	bcast      []tree.EdgeID
+	bcastStamp []uint32
+	bcastGen   uint32
 }
 
 // OpCounts are cumulative counts of the strategy's structural decisions,
@@ -298,18 +308,7 @@ func New(t *tree.Tree, numObjects int, opts Options) (*Strategy, error) {
 		opts:       opts,
 		edgeThresh: edgeBudgets(t, opts),
 		wBudget:    opts.writeBudget(),
-		wStreak:    make([]uint32, numObjects),
-		isCopy:     make([][]bool, numObjects),
-		copyList:   make([][]tree.NodeID, numObjects),
-		nearest:    make([][]tree.NodeID, numObjects),
-		ndist:      make([][]int32, numObjects),
-		tableValid: make([]bool, numObjects),
-		anchorTop:  make([]tree.NodeID, numObjects),
-		readCW:     make([][]uint64, numObjects),
-		curGen:     make([]uint32, numObjects),
-		bcast:      make([][]tree.EdgeID, numObjects),
-		bcastStamp: make([][]uint32, numObjects),
-		bcastGen:   make([]uint32, numObjects),
+		objs:       make([]*object, numObjects),
 		steinerCt:  make([]int32, t.Len()),
 		EdgeLoad:   make([]int64, t.NumEdges()),
 		moveLoad:   make([]int64, t.NumEdges()),
@@ -373,14 +372,15 @@ func (s *Strategy) ImportLoads(edgeLoad, moveLoad []int64, requests int64) {
 }
 
 // NumObjects returns the object-space size the strategy was built for.
-func (s *Strategy) NumObjects() int { return len(s.isCopy) }
+func (s *Strategy) NumObjects() int { return len(s.objs) }
 
 // Copies returns the current copy nodes of object x (sorted).
 func (s *Strategy) Copies(x int) []tree.NodeID {
-	if len(s.copyList[x]) == 0 {
+	o := s.objs[x]
+	if o == nil {
 		return nil
 	}
-	out := slices.Clone(s.copyList[x])
+	out := slices.Clone(o.copyList)
 	slices.Sort(out)
 	return out
 }
@@ -395,7 +395,7 @@ func (s *Strategy) Serve(r Request) int64 {
 
 // checkObject panics unless x is in the strategy's object range.
 func (s *Strategy) checkObject(x int) {
-	if x < 0 || x >= len(s.isCopy) {
+	if x < 0 || x >= len(s.objs) {
 		panic(fmt.Sprintf("dynamic: object %d out of range", x))
 	}
 }
@@ -403,20 +403,20 @@ func (s *Strategy) checkObject(x int) {
 // serveOne is the per-request body of Serve and ServeBatch: the object
 // must be in range and the request already counted.
 func (s *Strategy) serveOne(r Request) int64 {
-	x := r.Object
-	if len(s.copyList[x]) == 0 {
+	o := s.objs[r.Object]
+	if o == nil {
 		// First touch: materialize at the requester for free (the object
 		// is created there).
-		s.materialize(x, r.Node)
+		s.materialize(r.Object, r.Node)
 		return 0
 	}
 	if r.Write {
-		return s.serveWrite(x, r.Node)
+		return s.serveWrite(o, r.Node)
 	}
-	return s.serveRead(x, r.Node)
+	return s.serveRead(o, r.Node)
 }
 
-// pathToNearest resolves the copy of object x nearest to node together
+// pathToNearest resolves the copy of object o nearest to node together
 // with the request path to it (edges in order from node), reusing the
 // strategy's path buffer. Adopted sets answer from the nearest tables. A
 // connected (request-driven) set hangs entirely below its minimum-depth
@@ -424,22 +424,22 @@ func (s *Strategy) serveOne(r Request) int64 {
 // in O(distance to it): a requester inside anchorTop's subtree ascends
 // until the first copy (the subtree entry point), a requester outside
 // enters the subtree exactly at anchorTop.
-func (s *Strategy) pathToNearest(x int, node tree.NodeID) (tree.NodeID, []tree.EdgeID) {
-	if s.isCopy[x][node] {
+func (s *Strategy) pathToNearest(o *object, node tree.NodeID) (tree.NodeID, []tree.EdgeID) {
+	if o.isCopy[node] {
 		return node, s.pathBuf[:0]
 	}
-	if s.tableValid[x] {
-		target := s.nearest[x][node]
+	if o.tableValid {
+		target := o.nearest[node]
 		path := s.r.AppendPath(s.pathBuf[:0], node, target)
 		s.pathBuf = path
 		return target, path
 	}
-	top := s.anchorTop[x]
+	top := o.anchorTop
 	if p := s.pos[node]; p >= s.pos[top] && p < s.subEnd[top] {
 		// node is below the anchor: ascend to the entry point.
 		path := s.pathBuf[:0]
 		cur := node
-		for !s.isCopy[x][cur] {
+		for !o.isCopy[cur] {
 			path = append(path, s.r.ParentEdge[cur])
 			cur = s.r.Parent[cur]
 		}
@@ -458,9 +458,9 @@ func (s *Strategy) pathToNearest(x int, node tree.NodeID) (tree.NodeID, []tree.E
 // connected. The connected-mode variants charge the loads during the
 // resolution walk itself — no path buffer is built; the (at most
 // 1-in-Threshold) crossing rebuilds the path for the replication cascade.
-func (s *Strategy) serveRead(x int, node tree.NodeID) int64 {
-	s.wStreak[x] = 0 // reads keep the replica set alive
-	if s.isCopy[x][node] {
+func (s *Strategy) serveRead(o *object, node tree.NodeID) int64 {
+	o.wStreak = 0 // reads keep the replica set alive
+	if o.isCopy[node] {
 		return 0 // local read
 	}
 	var (
@@ -468,9 +468,9 @@ func (s *Strategy) serveRead(x int, node tree.NodeID) int64 {
 		last   tree.EdgeID
 		cost   int64
 	)
-	if s.tableValid[x] {
+	if o.tableValid {
 		// Adopted mode: resolve from the tables, charge from the buffer.
-		target = s.nearest[x][node]
+		target = o.nearest[node]
 		path := s.r.AppendPath(s.pathBuf[:0], node, target)
 		s.pathBuf = path
 		for _, e := range path {
@@ -478,11 +478,11 @@ func (s *Strategy) serveRead(x int, node tree.NodeID) int64 {
 		}
 		cost = int64(len(path))
 		last = path[len(path)-1]
-	} else if top := s.anchorTop[x]; s.pos[node] >= s.pos[top] && s.pos[node] < s.subEnd[top] {
+	} else if top := o.anchorTop; s.pos[node] >= s.pos[top] && s.pos[node] < s.subEnd[top] {
 		// Below the anchor: ascend to the entry point, charging as we go.
 		// (Slice headers hoisted: the load stores would otherwise force
 		// re-reads of the orientation arrays on every step.)
-		ic, par, pe, el := s.isCopy[x], s.r.Parent, s.r.ParentEdge, s.EdgeLoad
+		ic, par, pe, el := o.isCopy, s.r.Parent, s.r.ParentEdge, s.EdgeLoad
 		cur := node
 		for {
 			e := pe[cur]
@@ -517,12 +517,12 @@ func (s *Strategy) serveRead(x int, node tree.NodeID) int64 {
 	// Count the read on the copy-side edge (one combined load-and-store on
 	// the packed counter word); saturation replicates across it and
 	// cascades towards the requester.
-	cw := s.readCW[x]
+	cw := o.readCW
 	if cw == nil {
 		cw = make([]uint64, s.t.NumEdges())
-		s.readCW[x] = cw
+		o.readCW = cw
 	}
-	gen := s.curGen[x]
+	gen := o.curGen
 	var c int32
 	if w := cw[last]; uint32(w>>32) == gen {
 		c = int32(uint32(w))
@@ -532,33 +532,33 @@ func (s *Strategy) serveRead(x int, node tree.NodeID) int64 {
 	if c < s.edgeThresh[last] {
 		return cost
 	}
-	s.replicateAcross(x, last)
+	s.replicateAcross(o, last)
 	path := s.r.AppendPath(s.pathBuf[:0], node, target)
 	s.pathBuf = path
 	for i := len(path) - 2; i >= 0; i-- {
 		e := path[i]
-		cc := s.readCount(x, e) + 1
-		s.setReadCount(x, e, cc)
+		cc := s.readCount(o, e) + 1
+		s.setReadCount(o, e, cc)
 		if cc < s.edgeThresh[e] {
 			break
 		}
-		s.replicateAcross(x, e)
+		s.replicateAcross(o, e)
 	}
 	return cost
 }
 
-// replicateAcross joins the non-copy endpoint of e to object x's copy set
+// replicateAcross joins the non-copy endpoint of e to object o's copy set
 // (one copy transfer on e) and resets e's read counter.
-func (s *Strategy) replicateAcross(x int, e tree.EdgeID) {
+func (s *Strategy) replicateAcross(o *object, e tree.EdgeID) {
 	u, v := s.t.Endpoints(e)
 	joiner := u
-	if s.isCopy[x][u] {
+	if o.isCopy[u] {
 		joiner = v
 	}
-	s.addCopy(x, joiner, e)
+	s.addCopy(o, joiner, e)
 	s.EdgeLoad[e]++ // copy transfer
 	s.moveLoad[e]++
-	s.setReadCount(x, e, 0)
+	s.setReadCount(o, e, 0)
 	s.ops.Replications++
 }
 
@@ -573,16 +573,16 @@ func (s *Strategy) replicateAcross(x int, e tree.EdgeID) {
 // (repeated write streaks pull the object to the writer). A single copy
 // migrates on every write, as before the budget existed. Deletions are
 // free; the migration moves data across one edge.
-func (s *Strategy) serveWrite(x int, node tree.NodeID) int64 {
-	target, path := s.pathToNearest(x, node)
+func (s *Strategy) serveWrite(o *object, node tree.NodeID) int64 {
+	target, path := s.pathToNearest(o, node)
 	cost := int64(len(path))
 	for _, e := range path {
 		s.EdgeLoad[e]++
 	}
-	if len(s.copyList[x]) > 1 {
-		cost += s.broadcast(x)
-		s.wStreak[x]++
-		if s.wStreak[x] < s.wBudget {
+	if len(o.copyList) > 1 {
+		cost += s.broadcast(o)
+		o.wStreak++
+		if o.wStreak < s.wBudget {
 			return cost // replicas still earning their keep: no contraction
 		}
 	}
@@ -594,10 +594,10 @@ func (s *Strategy) serveWrite(x int, node tree.NodeID) int64 {
 		s.EdgeLoad[e]++ // migration transfer
 		s.moveLoad[e]++
 	}
-	s.contract(x, home)
-	s.wStreak[x] = 0
+	s.contract(o, home)
+	o.wStreak = 0
 	// Contraction resets the read counters of the object.
-	s.curGen[x]++
+	o.curGen++
 	return cost
 }
 
@@ -630,54 +630,59 @@ func (s *Strategy) GroupedBatch() []Request { return s.lastBatch }
 // counters only when the object first sees a remote read (see readCount)
 // — purely local or write-dominated objects never pay for either.
 func (s *Strategy) materialize(x int, home tree.NodeID) {
-	if s.isCopy[x] == nil {
-		s.isCopy[x] = make([]bool, s.t.Len())
-		s.curGen[x] = 1
-	}
-	s.isCopy[x][home] = true
-	s.copyList[x] = append(s.copyList[x][:0], home)
-	s.resetBroadcast(x)
-	s.tableValid[x] = false
-	s.anchorTop[x] = home
+	o := s.newObject(x)
+	o.isCopy[home] = true
+	o.copyList = append(o.copyList, home)
+	s.resetBroadcast(o)
+	o.tableValid = false
+	o.anchorTop = home
 	s.ops.Materializations++
 }
 
-// contract reduces object x's copy set to the single copy on home. No
+// newObject allocates object x's state at its first touch: the
+// copy-membership bits, with read-counter generations starting at 1.
+func (s *Strategy) newObject(x int) *object {
+	o := &object{isCopy: make([]bool, s.t.Len()), curGen: 1}
+	s.objs[x] = o
+	return o
+}
+
+// contract reduces object o's copy set to the single copy on home. No
 // table is rebuilt — the object returns to connected mode, whose nearest
 // resolution is table-free — which is what keeps the write path at
 // O(path) instead of an O(|V|) BFS per write.
-func (s *Strategy) contract(x int, home tree.NodeID) {
-	if list := s.copyList[x]; len(list) == 1 && list[0] == home {
-		s.resetBroadcast(x)
+func (s *Strategy) contract(o *object, home tree.NodeID) {
+	if list := o.copyList; len(list) == 1 && list[0] == home {
+		s.resetBroadcast(o)
 		return
 	}
-	for _, v := range s.copyList[x] {
-		s.isCopy[x][v] = false
+	for _, v := range o.copyList {
+		o.isCopy[v] = false
 	}
-	s.isCopy[x][home] = true
-	s.copyList[x] = append(s.copyList[x][:0], home)
-	s.resetBroadcast(x)
-	s.tableValid[x] = false
-	s.anchorTop[x] = home
+	o.isCopy[home] = true
+	o.copyList = append(o.copyList[:0], home)
+	s.resetBroadcast(o)
+	o.tableValid = false
+	o.anchorTop = home
 	s.ops.Contractions++
 }
 
-// rebuildNearest recomputes the nearest tables of object x from scratch: a
+// rebuildNearest recomputes the nearest tables of object o from scratch: a
 // multi-source BFS from the current copy set. Ties go to the copy earliest
 // in copyList (BFS seeding order), deterministically. The tables are
 // allocated here on the object's first multi-copy transition.
-func (s *Strategy) rebuildNearest(x int) {
-	if s.nearest[x] == nil {
+func (s *Strategy) rebuildNearest(o *object) {
+	if o.nearest == nil {
 		n := s.t.Len()
-		s.nearest[x] = make([]tree.NodeID, n)
-		s.ndist[x] = make([]int32, n)
+		o.nearest = make([]tree.NodeID, n)
+		o.ndist = make([]int32, n)
 	}
-	nearest, dist := s.nearest[x], s.ndist[x]
+	nearest, dist := o.nearest, o.ndist
 	for i := range dist {
 		dist[i] = -1
 	}
 	queue := s.queue[:0]
-	for _, v := range s.copyList[x] {
+	for _, v := range o.copyList {
 		if dist[v] == 0 {
 			continue // duplicate source
 		}
@@ -696,7 +701,7 @@ func (s *Strategy) rebuildNearest(x int) {
 		}
 	}
 	s.queue = queue[:0]
-	s.tableValid[x] = true
+	o.tableValid = true
 }
 
 // AdoptCopySet replaces object x's copy set with the given set of nodes
@@ -712,25 +717,25 @@ func (s *Strategy) rebuildNearest(x int) {
 // caller decides whether to charge it to an edge-load account; the
 // strategy itself books adoption separately from request-driven movement.
 func (s *Strategy) AdoptCopySet(x int, nodes []tree.NodeID) int64 {
-	if x < 0 || x >= len(s.isCopy) {
+	if x < 0 || x >= len(s.objs) {
 		panic(fmt.Sprintf("dynamic: object %d out of range", x))
 	}
 	if len(nodes) == 0 {
 		panic("dynamic: AdoptCopySet with empty copy set")
 	}
-	if s.isCopy[x] == nil {
+	o := s.objs[x]
+	if o == nil {
 		// First touch via adoption: the object materializes directly on the
 		// adopted set, no movement.
-		s.isCopy[x] = make([]bool, s.t.Len())
-		s.curGen[x] = 1
+		o = s.newObject(x)
 		for _, v := range nodes {
-			if !s.isCopy[x][v] {
-				s.isCopy[x][v] = true
-				s.copyList[x] = append(s.copyList[x], v)
+			if !o.isCopy[v] {
+				o.isCopy[v] = true
+				o.copyList = append(o.copyList, v)
 			}
 		}
-		s.installTables(x)
-		s.rebuildBroadcast(x)
+		s.installTables(o)
+		s.rebuildBroadcast(o)
 		s.ops.Adoptions++
 		return 0
 	}
@@ -741,26 +746,26 @@ func (s *Strategy) AdoptCopySet(x int, nodes []tree.NodeID) int64 {
 	dists := s.adoptDist[:0]
 	for _, v := range nodes {
 		var d int32
-		if s.tableValid[x] {
-			d = s.ndist[x][v]
+		if o.tableValid {
+			d = o.ndist[v]
 		} else {
-			_, path := s.pathToNearest(x, v)
+			_, path := s.pathToNearest(o, v)
 			d = int32(len(path))
 		}
 		dists = append(dists, d)
 	}
 	s.adoptDist = dists
 	var moved int64
-	added, dropped := 0, len(s.copyList[x])
-	for _, v := range s.copyList[x] {
-		s.isCopy[x][v] = false
+	added, dropped := 0, len(o.copyList)
+	for _, v := range o.copyList {
+		o.isCopy[v] = false
 	}
-	list := s.copyList[x][:0]
+	list := o.copyList[:0]
 	for i, v := range nodes {
-		if s.isCopy[x][v] {
+		if o.isCopy[v] {
 			continue // duplicate in input
 		}
-		s.isCopy[x][v] = true
+		o.isCopy[v] = true
 		list = append(list, v)
 		if d := dists[i]; d > 0 {
 			moved += int64(d)
@@ -769,36 +774,36 @@ func (s *Strategy) AdoptCopySet(x int, nodes []tree.NodeID) int64 {
 			dropped--
 		}
 	}
-	s.copyList[x] = list
+	o.copyList = list
 	if added == 0 && dropped == 0 {
 		// Same set as before: the tables (and the broadcast edge set) are
 		// still exact; keep the read counters so an unchanged placement
 		// does not reset adaptation.
 		return 0
 	}
-	s.installTables(x)
-	s.rebuildBroadcast(x)
-	s.curGen[x]++
-	s.wStreak[x] = 0 // threshold dynamics restart from the adopted set
+	s.installTables(o)
+	s.rebuildBroadcast(o)
+	o.curGen++
+	o.wStreak = 0 // threshold dynamics restart from the adopted set
 	s.ops.Adoptions++
 	return moved
 }
 
-// installTables puts object x's nearest resolution into the mode its
+// installTables puts object o's nearest resolution into the mode its
 // adopted copy set requires: a from-scratch table rebuild for multi-copy
 // sets (which need not be connected), table-free connected mode for a
 // single copy.
-func (s *Strategy) installTables(x int) {
-	if len(s.copyList[x]) > 1 {
-		s.rebuildNearest(x)
+func (s *Strategy) installTables(o *object) {
+	if len(o.copyList) > 1 {
+		s.rebuildNearest(o)
 	} else {
-		s.tableValid[x] = false
-		s.anchorTop[x] = s.copyList[x][0]
+		o.tableValid = false
+		o.anchorTop = o.copyList[0]
 	}
 }
 
 // addCopy inserts joiner (which is adjacent to a current copy across edge
-// e) into object x's copy set. The write-broadcast edge set grows by
+// e) into object o's copy set. The write-broadcast edge set grows by
 // exactly e: the Steiner tree of S ∪ {joiner} is the Steiner tree of S
 // plus the path from joiner to it, which is e (or nothing, when joiner was
 // already an interior node of an adopted non-connected set — the stamp
@@ -806,22 +811,22 @@ func (s *Strategy) installTables(x int) {
 // keep no tables; an adopted object's tables are relaxed from joiner: only
 // nodes that get strictly closer update, so ties keep their previous
 // reference copy (deterministically).
-func (s *Strategy) addCopy(x int, joiner tree.NodeID, e tree.EdgeID) {
-	if s.isCopy[x][joiner] {
+func (s *Strategy) addCopy(o *object, joiner tree.NodeID, e tree.EdgeID) {
+	if o.isCopy[joiner] {
 		return
 	}
-	s.isCopy[x][joiner] = true
-	s.copyList[x] = append(s.copyList[x], joiner)
-	s.addBroadcastEdge(x, e)
-	if !s.tableValid[x] {
+	o.isCopy[joiner] = true
+	o.copyList = append(o.copyList, joiner)
+	s.addBroadcastEdge(o, e)
+	if !o.tableValid {
 		// Connected mode: nearest resolution is table-free; just keep the
 		// anchor at the subtree's top.
-		if s.r.Depth[joiner] < s.r.Depth[s.anchorTop[x]] {
-			s.anchorTop[x] = joiner
+		if s.r.Depth[joiner] < s.r.Depth[o.anchorTop] {
+			o.anchorTop = joiner
 		}
 		return
 	}
-	nearest, dist := s.nearest[x], s.ndist[x]
+	nearest, dist := o.nearest, o.ndist
 	nearest[joiner] = joiner
 	dist[joiner] = 0
 	queue := append(s.queue[:0], joiner)
@@ -838,55 +843,55 @@ func (s *Strategy) addCopy(x int, joiner tree.NodeID, e tree.EdgeID) {
 	s.queue = queue[:0]
 }
 
-// broadcast adds one unit to every write-broadcast edge of object x (the
+// broadcast adds one unit to every write-broadcast edge of object o (the
 // Steiner edges of its copy set, maintained incrementally) and returns the
 // number of edges loaded. This replaces the per-write bottom-up Steiner
 // pass: a write now costs O(|Steiner edges|), not O(|V|).
-func (s *Strategy) broadcast(x int) int64 {
-	edges := s.bcast[x]
+func (s *Strategy) broadcast(o *object) int64 {
+	edges := o.bcast
 	for _, e := range edges {
 		s.EdgeLoad[e]++
 	}
 	return int64(len(edges))
 }
 
-// resetBroadcast empties object x's write-broadcast edge set by advancing
+// resetBroadcast empties object o's write-broadcast edge set by advancing
 // its generation (stamps from earlier generations become stale in place).
-func (s *Strategy) resetBroadcast(x int) {
-	s.bcast[x] = s.bcast[x][:0]
-	s.bcastGen[x]++
+func (s *Strategy) resetBroadcast(o *object) {
+	o.bcast = o.bcast[:0]
+	o.bcastGen++
 }
 
-// addBroadcastEdge inserts e into object x's write-broadcast edge set if
+// addBroadcastEdge inserts e into object o's write-broadcast edge set if
 // it is not already present. The stamp table is allocated at the object's
 // first append — objects that never hold more than one copy never pay for
 // it.
-func (s *Strategy) addBroadcastEdge(x int, e tree.EdgeID) {
-	if s.bcastStamp[x] == nil {
-		s.bcastStamp[x] = make([]uint32, s.t.NumEdges())
+func (s *Strategy) addBroadcastEdge(o *object, e tree.EdgeID) {
+	if o.bcastStamp == nil {
+		o.bcastStamp = make([]uint32, s.t.NumEdges())
 	}
-	if s.bcastStamp[x][e] == s.bcastGen[x] {
+	if o.bcastStamp[e] == o.bcastGen {
 		return
 	}
-	s.bcastStamp[x][e] = s.bcastGen[x]
-	s.bcast[x] = append(s.bcast[x], e)
+	o.bcastStamp[e] = o.bcastGen
+	o.bcast = append(o.bcast, e)
 }
 
-// rebuildBroadcast recomputes object x's write-broadcast edge set from
+// rebuildBroadcast recomputes object o's write-broadcast edge set from
 // scratch: an edge is a Steiner edge iff the copy count below it (one
 // bottom-up pass over the packed traversal) is neither zero nor the full
 // set. Only AdoptCopySet needs this — its imported static placements need
 // not be connected — while request-driven copy-set changes maintain the
 // set incrementally.
-func (s *Strategy) rebuildBroadcast(x int) {
-	s.resetBroadcast(x)
-	if len(s.copyList[x]) <= 1 {
+func (s *Strategy) rebuildBroadcast(o *object) {
+	s.resetBroadcast(o)
+	if len(o.copyList) <= 1 {
 		return
 	}
 	cnt := s.steinerCt
 	clear(cnt)
-	total := int32(len(s.copyList[x]))
-	for _, v := range s.copyList[x] {
+	total := int32(len(o.copyList))
+	for _, v := range o.copyList {
 		cnt[v] = 1
 	}
 	steps := s.r.Steps()
@@ -894,29 +899,29 @@ func (s *Strategy) rebuildBroadcast(x int) {
 		st := steps[i]
 		if c := cnt[st.V]; c > 0 {
 			if c < total {
-				s.addBroadcastEdge(x, st.Edge)
+				s.addBroadcastEdge(o, st.Edge)
 			}
 			cnt[st.Parent] += c
 		}
 	}
 }
 
-func (s *Strategy) readCount(x int, e tree.EdgeID) int32 {
-	cw := s.readCW[x]
+func (s *Strategy) readCount(o *object, e tree.EdgeID) int32 {
+	cw := o.readCW
 	if cw == nil {
 		return 0
 	}
-	if w := cw[e]; uint32(w>>32) == s.curGen[x] {
+	if w := cw[e]; uint32(w>>32) == o.curGen {
 		return int32(uint32(w))
 	}
 	return 0
 }
 
-func (s *Strategy) setReadCount(x int, e tree.EdgeID, c int32) {
-	if s.readCW[x] == nil {
-		s.readCW[x] = make([]uint64, s.t.NumEdges())
+func (s *Strategy) setReadCount(o *object, e tree.EdgeID, c int32) {
+	if o.readCW == nil {
+		o.readCW = make([]uint64, s.t.NumEdges())
 	}
-	s.readCW[x][e] = uint64(s.curGen[x])<<32 | uint64(uint32(c))
+	o.readCW[e] = uint64(o.curGen)<<32 | uint64(uint32(c))
 }
 
 // ServeAll processes a whole sequence and returns the total service cost.
@@ -983,10 +988,12 @@ func RandomSequence(rng *rand.Rand, t *tree.Tree, numObjects, n int, writeFrac f
 // comparator after every batch, so this is what keeps them off the
 // full-tree cost path.
 type OfflineTracker struct {
-	t     *tree.Tree
-	w     *workload.W
-	ev    *placement.Evaluator
+	t *tree.Tree
+	w *workload.W
+	// p, ev and scr are the comparator placement and its scratch, built
+	// at the first Report: a tracker that only records allocates none.
 	p     *placement.P
+	ev    *placement.Evaluator
 	scr   *nibble.Scratch
 	dirty []bool
 	queue []int
@@ -1003,11 +1010,15 @@ func NewOfflineTracker(t *tree.Tree, numObjects int) *OfflineTracker {
 	return NewOfflineTrackerWith(t, workload.New(numObjects, t.Len()))
 }
 
-// NewOfflineTrackerWith creates a tracker that starts from the given
-// already-observed frequencies instead of zero — the serving layer's
-// topology reconfiguration seeds each rebuilt shard tracker with the old
-// tracker's rows remapped onto the new tree. The tracker takes ownership
-// of w, whose node dimension must match t.
+// NewOfflineTrackerWith creates a tracker that records into w, starting
+// from the frequencies already in it; w's node dimension must match t.
+// The tracker does not copy w, so several trackers may share one matrix
+// when the objects they record are disjoint: each row then has one owner,
+// which writes it only under its own lock. The serving layer's shards
+// share one observed-frequency matrix this way (object x is recorded only
+// by shard x % Shards), and a reconfiguration hands the rebuilt shard
+// trackers one matrix on the new tree. Report reads every row, so only a
+// tracker that owns its whole matrix may call it.
 func NewOfflineTrackerWith(t *tree.Tree, w *workload.W) *OfflineTracker {
 	if w.NumNodes() != t.Len() {
 		panic(fmt.Sprintf("dynamic: tracker workload built for %d nodes, tree has %d", w.NumNodes(), t.Len()))
@@ -1015,8 +1026,6 @@ func NewOfflineTrackerWith(t *tree.Tree, w *workload.W) *OfflineTracker {
 	return &OfflineTracker{
 		t:     t,
 		w:     w,
-		ev:    placement.NewEvaluator(t),
-		scr:   nibble.NewScratch(t),
 		dirty: make([]bool, w.NumObjects()),
 		drift: make([]bool, w.NumObjects()),
 	}
@@ -1104,6 +1113,7 @@ func (ot *OfflineTracker) Workload() *workload.W { return ot.w }
 // calls refresh only the objects touched since the previous Report.
 func (ot *OfflineTracker) Report() (*placement.Report, error) {
 	if ot.p == nil {
+		ot.ev, ot.scr = placement.NewEvaluator(ot.t), nibble.NewScratch(ot.t)
 		nib := nibble.Place(ot.t, ot.w)
 		p, err := nib.Placement(ot.t, ot.w)
 		if err != nil {

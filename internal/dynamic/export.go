@@ -50,24 +50,25 @@ type ObjectState struct {
 // ExportObject captures object x's serving state. The returned slices are
 // fresh copies, safe to retain across further serving.
 func (s *Strategy) ExportObject(x int) ObjectState {
-	if x < 0 || x >= len(s.isCopy) {
+	if x < 0 || x >= len(s.objs) {
 		panic(fmt.Sprintf("dynamic: object %d out of range", x))
 	}
 	var st ObjectState
-	if len(s.copyList[x]) == 0 {
+	o := s.objs[x]
+	if o == nil {
 		return st
 	}
 	st.Present = true
-	st.Copies = slices.Clone(s.copyList[x])
-	st.TableValid = s.tableValid[x]
+	st.Copies = slices.Clone(o.copyList)
+	st.TableValid = o.tableValid
 	if st.TableValid {
-		st.Nearest = slices.Clone(s.nearest[x])
-		st.NDist = slices.Clone(s.ndist[x])
+		st.Nearest = slices.Clone(o.nearest)
+		st.NDist = slices.Clone(o.ndist)
 	} else {
-		st.AnchorTop = s.anchorTop[x]
+		st.AnchorTop = o.anchorTop
 	}
-	if cw := s.readCW[x]; cw != nil {
-		gen := s.curGen[x]
+	if cw := o.readCW; cw != nil {
+		gen := o.curGen
 		for e, w := range cw {
 			if uint32(w>>32) == gen {
 				if c := int32(uint32(w)); c != 0 {
@@ -79,7 +80,7 @@ func (s *Strategy) ExportObject(x int) ObjectState {
 		// map): equal strategies export byte-identical states.
 		slices.SortFunc(st.Counters, func(a, b EdgeCounter) int { return int(a.Edge - b.Edge) })
 	}
-	st.WriteStreak = s.wStreak[x]
+	st.WriteStreak = o.wStreak
 	return st
 }
 
@@ -94,7 +95,7 @@ func (s *Strategy) ExportObject(x int) ObjectState {
 // function of the copy set), and counter generations restart at 1 (only
 // currency, not the number, is observable).
 func (s *Strategy) RestoreObject(x int, st ObjectState) error {
-	if x < 0 || x >= len(s.isCopy) {
+	if x < 0 || x >= len(s.objs) {
 		return fmt.Errorf("dynamic: restore: object %d out of range", x)
 	}
 	if !st.Present {
@@ -103,7 +104,7 @@ func (s *Strategy) RestoreObject(x int, st ObjectState) error {
 		}
 		return nil
 	}
-	if s.isCopy[x] != nil {
+	if s.objs[x] != nil {
 		return fmt.Errorf("dynamic: restore object %d: already materialized", x)
 	}
 	n := s.t.Len()
@@ -180,22 +181,20 @@ func (s *Strategy) RestoreObject(x int, st ObjectState) error {
 		return fmt.Errorf("dynamic: restore object %d: write streak %d at or above the budget %d", x, st.WriteStreak, s.wBudget)
 	}
 
-	s.isCopy[x] = ic
-	s.copyList[x] = slices.Clone(st.Copies)
-	s.curGen[x] = 1
+	o := &object{isCopy: ic, copyList: slices.Clone(st.Copies), curGen: 1}
+	s.objs[x] = o
 	if st.TableValid {
-		s.nearest[x] = slices.Clone(st.Nearest)
-		s.ndist[x] = slices.Clone(st.NDist)
-		s.tableValid[x] = true
+		o.nearest = slices.Clone(st.Nearest)
+		o.ndist = slices.Clone(st.NDist)
+		o.tableValid = true
 	} else {
-		s.tableValid[x] = false
-		s.anchorTop[x] = st.AnchorTop
+		o.anchorTop = st.AnchorTop
 	}
 	for _, ec := range st.Counters {
-		s.setReadCount(x, ec.Edge, ec.Count)
+		s.setReadCount(o, ec.Edge, ec.Count)
 	}
-	s.wStreak[x] = st.WriteStreak
-	s.rebuildBroadcast(x)
+	o.wStreak = st.WriteStreak
+	s.rebuildBroadcast(o)
 	return nil
 }
 

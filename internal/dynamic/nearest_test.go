@@ -52,19 +52,20 @@ func checkNearestTables(t *testing.T, tr *tree.Tree, s *Strategy, ctx string) {
 	t.Helper()
 	r := tr.Rooted0()
 	for x := 0; x < s.NumObjects(); x++ {
-		if s.isCopy[x] == nil {
+		o := s.objs[x]
+		if o == nil {
 			continue
 		}
-		want := bfsDist(tr, s.copyList[x])
-		if !s.tableValid[x] {
-			if !copySetConnected(tr, s.copyList[x]) {
+		want := bfsDist(tr, o.copyList)
+		if !o.tableValid {
+			if !copySetConnected(tr, o.copyList) {
 				t.Fatalf("%s: object %d in connected mode with disconnected copies %v",
-					ctx, x, s.copyList[x])
+					ctx, x, o.copyList)
 			}
 			for v := 0; v < tr.Len(); v++ {
 				id := tree.NodeID(v)
-				near, path := s.pathToNearest(x, id)
-				if !s.isCopy[x][near] || int32(len(path)) != want[v] ||
+				near, path := s.pathToNearest(o, id)
+				if !o.isCopy[near] || int32(len(path)) != want[v] ||
 					int32(r.PathLen(id, near)) != want[v] {
 					t.Fatalf("%s: object %d node %d: pathToNearest (%d, %d edges), true nearest at %d",
 						ctx, x, v, near, len(path), want[v])
@@ -74,21 +75,21 @@ func checkNearestTables(t *testing.T, tr *tree.Tree, s *Strategy, ctx string) {
 		}
 		for v := 0; v < tr.Len(); v++ {
 			id := tree.NodeID(v)
-			if s.ndist[x][v] != want[v] {
+			if o.ndist[v] != want[v] {
 				t.Fatalf("%s: object %d node %d: incremental dist %d != BFS %d (copies %v)",
-					ctx, x, v, s.ndist[x][v], want[v], s.copyList[x])
+					ctx, x, v, o.ndist[v], want[v], o.copyList)
 			}
-			near := s.nearest[x][v]
-			if !s.isCopy[x][near] {
+			near := o.nearest[v]
+			if !o.isCopy[near] {
 				t.Fatalf("%s: object %d node %d: nearest %d is not a copy (copies %v)",
-					ctx, x, v, near, s.copyList[x])
+					ctx, x, v, near, o.copyList)
 			}
 			if got := int32(r.PathLen(id, near)); got != want[v] {
 				t.Fatalf("%s: object %d node %d: nearest %d at distance %d, true nearest at %d",
 					ctx, x, v, near, got, want[v])
 			}
-			near, path := s.pathToNearest(x, id)
-			if !s.isCopy[x][near] || int32(len(path)) != want[v] {
+			near, path := s.pathToNearest(o, id)
+			if !o.isCopy[near] || int32(len(path)) != want[v] {
 				t.Fatalf("%s: object %d node %d: pathToNearest (%d, %d edges), true nearest at %d",
 					ctx, x, v, near, len(path), want[v])
 			}

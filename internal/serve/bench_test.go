@@ -2,8 +2,10 @@ package serve
 
 import (
 	"math/rand"
+	"path/filepath"
 	"testing"
 
+	"hbn/internal/snapshot"
 	"hbn/internal/tree"
 	"hbn/internal/workload"
 )
@@ -44,4 +46,60 @@ func BenchmarkIngestBatch1024(b *testing.B) {
 // telemetry costs more than 3% of ingest throughput.
 func BenchmarkIngestBatch1024Bare(b *testing.B) {
 	benchIngest(b, withoutTelemetry(Options{Shards: 1, Threshold: 8}))
+}
+
+// writeStormCluster is the write-storm-1k shape of the repository
+// benchmark (SCI 32×32, 1024 objects, 4 shards, threshold 3, no epoch
+// cadence) after serving 200k write-storm events.
+func writeStormCluster(b *testing.B) *Cluster {
+	b.Helper()
+	t := tree.SCICluster(32, 32, 32, 16)
+	const objects = 1024
+	c, err := NewCluster(t, objects, Options{Shards: 4, Threshold: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	trace := workload.WriteStorm(rand.New(rand.NewSource(11)), t, objects, 200000, 4, 0.05)
+	for lo := 0; lo < len(trace); lo += 1024 {
+		if _, err := c.Ingest(trace[lo:min(lo+1024, len(trace))]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return c
+}
+
+// BenchmarkSnapshotCut measures the in-memory half of Snapshot on the
+// write-storm-1k shape: the consistent cut under the ingest gate and the
+// image encode. The disk write is left out.
+func BenchmarkSnapshotCut(b *testing.B) {
+	c := writeStormCluster(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var size int
+	for i := 0; i < b.N; i++ {
+		var st *snapshot.State
+		c.epochMu.Lock()
+		c.quiesce(func() { st = c.captureLocked() })
+		c.epochMu.Unlock()
+		size = len(snapshot.Encode(st))
+	}
+	b.ReportMetric(float64(size), "image-B")
+}
+
+// BenchmarkRestore measures Restore of a write-storm-1k image from a
+// file: decode, validation, cluster construction and solver re-arming.
+func BenchmarkRestore(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "snap.hbn")
+	if _, err := writeStormCluster(b).Snapshot(path); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, _, err := Restore(path, RestoreOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		r.Close()
+	}
 }

@@ -60,7 +60,8 @@ type ReconfigStats struct {
 // Reconfigure applies a topology diff to the live cluster as a staged
 // (rolling) swap: the network is rebuilt through topo.Apply, and every
 // layer of serving state migrates across the ID remap — observed
-// frequencies (cluster and per-shard tracker rows), per-shard edge-load
+// frequencies (the solver's view, and each shard's rows of the shared
+// observed-frequency matrix at that shard's swap), per-shard edge-load
 // and request accounting (surviving edges keep their history; removed
 // edges' loads are dropped with the hardware), and every object's copy
 // set. Copies on surviving nodes stay exactly where they are (minimal
@@ -137,6 +138,7 @@ func (c *Cluster) Reconfigure(d topo.Diff) (ReconfigStats, error) {
 	// window is precomputed here, outside any gate: c.prev and c.isLeaf
 	// are only ever written under epochMu, which we hold.
 	newPrev := mig.Remap.Workload(c.prev)
+	newSeen := workload.New(c.numObjects, mig.Tree.Len()) // each shard's swap fills its rows
 	isLeaf := newIsLeaf(mig.Tree)
 
 	// Publish the roll. From here every gated reader sees the
@@ -174,7 +176,7 @@ func (c *Cluster) Reconfigure(d topo.Diff) (ReconfigStats, error) {
 	for si, sh := range c.shards {
 		t0 = time.Now()
 		sh.mu.Lock()
-		c.migrateShard(sh, si, mig, proj, &rs)
+		c.migrateShard(sh, si, mig, newSeen, proj, &rs)
 		sh.onNew = true
 		sh.mu.Unlock()
 		stall(t0, obs.PhaseShard, int32(si))
@@ -188,7 +190,7 @@ func (c *Cluster) Reconfigure(d topo.Diff) (ReconfigStats, error) {
 	// shard locks): gated readers synchronize via the gate itself.
 	t0 = time.Now()
 	c.quiesce(func() {
-		c.installEpochState(mig, newPrev, isLeaf)
+		c.installEpochState(mig, newPrev, newSeen, isLeaf)
 		c.roll = nil
 		for _, sh := range c.shards {
 			sh.onNew = false
@@ -238,11 +240,12 @@ func (rs *ReconfigStats) fillPlan(c *Cluster, mig *topo.Migration) {
 
 // installEpochState swaps the epoch machinery onto the migration's tree
 // (caller holds epochMu and runs it inside the commit quiesce).
-func (c *Cluster) installEpochState(mig *topo.Migration, prev *workload.W, isLeaf []bool) {
+func (c *Cluster) installEpochState(mig *topo.Migration, prev, seen *workload.W, isLeaf []bool) {
 	c.t = mig.Tree
 	c.solver = mig.Solver
 	c.w = mig.W
 	c.prev = prev
+	c.seen = seen
 	c.solved = true
 	c.isLeaf = isLeaf
 }
@@ -257,13 +260,15 @@ func newIsLeaf(t *tree.Tree) []bool {
 
 // migrateShard rebuilds one shard on the migration's tree (caller holds
 // sh.mu and epochMu): a fresh strategy and tracker with the old load
-// history, request counts, frequency rows and un-drained drift flags
-// carried across the remap, then the two-phase adoption — the projected
-// live copy set first (first-touch, free: the data is physically there),
-// the re-solved target second (priced movement from the survivors).
+// history, request counts and un-drained drift flags carried across the
+// remap, the shard's own rows of the observed-frequency matrix projected
+// into seen (the new tree's matrix, which every rebuilt tracker shares),
+// then the two-phase adoption — the projected live copy set first
+// (first-touch, free: the data is physically there), the re-solved target
+// second (priced movement from the survivors).
 // Loads on removed edges are dropped with the hardware and accounted in
 // rs.DroppedLoad / rs.DroppedServiceLoad.
-func (c *Cluster) migrateShard(sh *shard, si int, mig *topo.Migration, proj *topo.Projector, rs *ReconfigStats) {
+func (c *Cluster) migrateShard(sh *shard, si int, mig *topo.Migration, seen *workload.W, proj *topo.Projector, rs *ReconfigStats) {
 	edgeLoad := sh.strat.EdgeLoad
 	moveLoad := sh.strat.MoveLoad()
 	var dl, dc int64
@@ -290,7 +295,8 @@ func (c *Cluster) migrateShard(sh *shard, si int, mig *topo.Migration, proj *top
 	)
 	ns.ImportOps(sh.strat.Ops())
 	carried := sh.tracker.DrainDrifted(nil)
-	nt := dynamic.NewOfflineTrackerWith(mig.Tree, mig.Remap.Workload(sh.tracker.Workload()))
+	mig.Remap.WorkloadRows(seen, c.seen, si, len(c.shards))
+	nt := dynamic.NewOfflineTrackerWith(mig.Tree, seen)
 	nt.MarkDrifted(carried)
 	for x := si; x < c.numObjects; x += len(c.shards) {
 		p, recovered := proj.Project(sh.strat.Copies(x))

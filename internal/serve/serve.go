@@ -11,7 +11,10 @@
 // hot path allocates nothing, guarded by TestIngestSteadyAllocs) and
 // served shard-parallel: each shard serves its partition in input order
 // through Strategy.ServeBatch, and its OfflineTracker records the
-// observed frequencies in bulk as it serves.
+// observed frequencies in bulk as it serves. The trackers share one
+// objects × nodes observed-frequency matrix: row x is written only by
+// x's owner shard, under that shard's lock, so the cluster holds three
+// dense matrices (observed, solver view, last fold) at any shard count.
 //
 // Every EpochRequests served requests, an epoch pass feeds the objects
 // whose frequencies drifted since the previous pass into a shared
@@ -373,13 +376,18 @@ type Cluster struct {
 	scratch    sync.Pool // of *ingestScratch; see Ingest
 
 	// Epoch machinery: epochMu serializes passes and guards everything
-	// below it. The solver's workload w aggregates the observed
-	// frequencies of all shards (rows are copied in under shard locks, so
-	// the partitioned per-shard trackers and w never race).
-	epochMu    sync.Mutex
-	solver     *core.Solver
-	w          *workload.W
-	prev       *workload.W // per-object tracker rows as of the last fold
+	// below it. The solver's workload w folds in the observed frequencies
+	// (rows are read under their owner shard's lock, so the recording
+	// shards and the fold never race).
+	epochMu sync.Mutex
+	solver  *core.Solver
+	w       *workload.W
+	prev    *workload.W // per-object observed rows as of the last fold
+	// seen is the observed-frequency matrix the shard trackers share:
+	// shard si records rows x ≡ si (mod Shards), only under its own lock.
+	// The pointer changes only under epochMu and the full ingest gate (a
+	// reconfiguration's commit).
+	seen       *workload.W
 	solved     bool
 	changedBuf []int
 	nodesBuf   []tree.NodeID
@@ -442,6 +450,15 @@ func (c *Cluster) quiesce(fn func()) {
 // be a valid hierarchical bus network. Invalid options are rejected with
 // an error satisfying errors.Is(err, ErrBadOptions).
 func NewCluster(t *tree.Tree, numObjects int, opts Options) (*Cluster, error) {
+	return newCluster(t, numObjects, opts, nil, nil, nil)
+}
+
+// newCluster builds a cluster around the solver view w, the last-fold rows
+// prev and the observed frequencies seen, taking ownership of them (all
+// numObjects × t.Len()). NewCluster passes nil for three zero matrices;
+// RestoreState passes the decoded ones, so a restore allocates no matrix
+// it would throw away.
+func newCluster(t *tree.Tree, numObjects int, opts Options, w, prev, seen *workload.W) (*Cluster, error) {
 	if numObjects < 0 {
 		return nil, fmt.Errorf("serve: negative object count %d", numObjects)
 	}
@@ -461,14 +478,18 @@ func NewCluster(t *tree.Tree, numObjects int, opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
+	if seen == nil {
+		w, prev, seen = workload.New(numObjects, t.Len()), workload.New(numObjects, t.Len()), workload.New(numObjects, t.Len())
+	}
 	c := &Cluster{
 		t:          t,
 		opts:       opts,
 		numObjects: numObjects,
 		shards:     make([]*shard, opts.Shards),
 		solver:     solver,
-		w:          workload.New(numObjects, t.Len()),
-		prev:       workload.New(numObjects, t.Len()),
+		w:          w,
+		prev:       prev,
+		seen:       seen,
 	}
 	if !opts.noTelemetry {
 		fr := opts.FlightRecorderSize
@@ -481,7 +502,7 @@ func NewCluster(t *tree.Tree, numObjects int, opts Options) (*Cluster, error) {
 		// Threshold validity was checked above, so New cannot fail here.
 		c.shards[i] = &shard{
 			strat:   dynamic.MustNew(t, numObjects, c.dynOpts()),
-			tracker: dynamic.NewOfflineTracker(t, numObjects),
+			tracker: dynamic.NewOfflineTrackerWith(t, seen),
 		}
 		if c.obs != nil {
 			c.shards[i].obsb = c.obs.Shards.Block(i)
@@ -665,9 +686,8 @@ func (c *Cluster) driftMagnitudeLocked() float64 {
 	var num, den float64
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		shw := sh.tracker.Workload()
 		sh.tracker.DriftedFunc(func(x int) {
-			dTot, d := c.objectDriftLocked(shw.Row(x), x, leaves)
+			dTot, d := c.objectDriftLocked(c.seen.Row(x), x, leaves)
 			if dTot <= 0 {
 				return // queued by a reconfigure re-warm, no new traffic
 			}
@@ -734,8 +754,8 @@ func (c *Cluster) objectDriftLocked(row []workload.Access, x int, leaves []tree.
 // just before its row is folded: the drain visits the same queue in the
 // same order as DriftedFunc, so the sums match bit for bit. Object rows
 // are partitioned (object x only ever recorded by shard x % Shards), so
-// reading row x from its owner's tracker under the owner's lock is exact
-// and race-free. Each drifted object's solver row ages by DecayShift
+// reading row x of the shared matrix under its owner's lock is exact and
+// race-free. Each drifted object's solver row ages by DecayShift
 // halvings, then absorbs the delta observed since the last fold (with
 // DecayShift 0 this reduces to the plain cumulative frequencies).
 func (c *Cluster) collectDriftLocked() (changed []int, driftMag float64) {
@@ -748,9 +768,8 @@ func (c *Cluster) collectDriftLocked() (changed []int, driftMag float64) {
 		sh.mu.Lock()
 		from := len(changed)
 		changed = sh.tracker.DrainDrifted(changed)
-		shw := sh.tracker.Workload()
 		for _, x := range changed[from:] {
-			row := shw.Row(x)
+			row := c.seen.Row(x)
 			dTot, d := c.objectDriftLocked(row, x, leaves)
 			if dTot > 0 { // dTot <= 0: queued by a reconfigure re-warm, no new traffic
 				num += float64(dTot) * d

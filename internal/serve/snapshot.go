@@ -141,6 +141,7 @@ func (c *Cluster) captureLocked() *snapshot.State {
 		DroppedServiceLoad: c.stats.DroppedServiceLoad,
 		SolverW:            c.w.Clone(),
 		PrevW:              c.prev.Clone(),
+		TrackerW:           c.seen.Clone(),
 
 		ShardStates: make([]snapshot.ShardState, len(c.shards)),
 		Objects:     make([]dynamic.ObjectState, c.numObjects),
@@ -169,7 +170,6 @@ func (c *Cluster) captureLocked() *snapshot.State {
 			MoveLoad: ml,
 			Requests: sh.strat.Requests(),
 			Cost:     sh.cost,
-			TrackerW: sh.tracker.Workload().Clone(),
 			Drift:    sh.tracker.Drifted(),
 		}
 		for x := si; x < c.numObjects; x += len(c.shards) {
@@ -250,13 +250,13 @@ func RestoreState(st *snapshot.State, opts RestoreOptions) (*Cluster, error) {
 	if err := checkDims(st.PrevW, st.NumObjects, nodes, "previous-fold workload"); err != nil {
 		return nil, err
 	}
+	if err := checkDims(st.TrackerW, st.NumObjects, nodes, "observed-frequency workload"); err != nil {
+		return nil, err
+	}
 	for si := range st.ShardStates {
 		ss := &st.ShardStates[si]
 		if len(ss.EdgeLoad) != edges || len(ss.MoveLoad) != edges {
 			return nil, fmt.Errorf("%w: shard %d: %d/%d load entries for %d edges", snapshot.ErrCorrupt, si, len(ss.EdgeLoad), len(ss.MoveLoad), edges)
-		}
-		if err := checkDims(ss.TrackerW, st.NumObjects, nodes, fmt.Sprintf("shard %d tracker workload", si)); err != nil {
-			return nil, err
 		}
 		if ss.Requests < 0 || ss.Cost < 0 {
 			return nil, fmt.Errorf("%w: shard %d: negative accounting", snapshot.ErrCorrupt, si)
@@ -273,7 +273,7 @@ func RestoreState(st *snapshot.State, opts RestoreOptions) (*Cluster, error) {
 		}
 	}
 
-	c, err := NewCluster(st.Tree, st.NumObjects, Options{
+	c, err := newCluster(st.Tree, st.NumObjects, Options{
 		Shards:             nshards,
 		EpochRequests:      st.EpochRequests,
 		Threshold:          st.Threshold,
@@ -284,7 +284,7 @@ func RestoreState(st *snapshot.State, opts RestoreOptions) (*Cluster, error) {
 		WriteBudget:        st.WriteBudget,
 		DriftThreshold:     st.DriftThreshold,
 		DriftCheckRequests: st.DriftCheckRequests,
-	})
+	}, st.SolverW, st.PrevW, st.TrackerW)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", snapshot.ErrCorrupt, err)
 	}
@@ -313,7 +313,6 @@ func (c *Cluster) installState(st *snapshot.State) error {
 			b.Store(obs.SlotEvents, ss.Requests)
 			b.Store(obs.SlotCost, ss.Cost)
 		}
-		sh.tracker = dynamic.NewOfflineTrackerWith(st.Tree, ss.TrackerW)
 		sh.tracker.MarkDrifted(ss.Drift)
 		for x := si; x < st.NumObjects; x += nshards {
 			if err := sh.strat.RestoreObject(x, st.Objects[x]); err != nil {
@@ -323,8 +322,6 @@ func (c *Cluster) installState(st *snapshot.State) error {
 		}
 		sh.mu.Unlock()
 	}
-	c.w = st.SolverW
-	c.prev = st.PrevW
 	c.served.Store(st.Served)
 	c.snapSeq = st.Seq
 	c.stats.Epochs = st.Epochs

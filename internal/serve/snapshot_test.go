@@ -12,6 +12,7 @@ import (
 
 	"hbn/internal/snapshot"
 	"hbn/internal/topo"
+	"hbn/internal/tree"
 	"hbn/internal/workload"
 )
 
@@ -106,6 +107,59 @@ func TestSnapshotRestoreIdentity(t *testing.T) {
 				compareClusters(t, "after suffix", c, r, objects, true)
 			})
 		}
+	}
+}
+
+// A snapshot taken after a real topology change restores bit-identically:
+// the reconfiguration removes a whole tail ring, so every shard's rows of
+// the observed-frequency matrix move to the new tree at that shard's swap,
+// and 1,500 events on the new tree's leaves (epoch passes included) are
+// recorded into them before the cut. The restored cluster must equal the
+// source at the cut and after the same suffix.
+func TestSnapshotAfterReconfigure(t *testing.T) {
+	tr := tree.SCICluster(4, 5, 16, 8)
+	const objects = 24
+	for _, shards := range []int{1, 4, 64} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			c, err := NewCluster(tr, objects, Options{Shards: shards, EpochRequests: 900, Threshold: 4, DecayShift: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingestAll(t, c, workload.DriftingZipf(rand.New(rand.NewSource(41)), tr, objects, 4000, 4, 1.0, 0.05), 256)
+			before := c.seen.Clone()
+			rs, err := c.Reconfigure(tailRingDiff(4, 5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Quiesced, so the shard swaps together carried exactly the
+			// projection of the whole matrix.
+			if !reflect.DeepEqual(c.seen, rs.Remap.Workload(before)) {
+				t.Fatal("observed frequencies after the reconfiguration are not the projection of those before it")
+			}
+			post := workload.DriftingZipf(rand.New(rand.NewSource(43)), c.Tree(), objects, 3000, 3, 1.0, 0.05)
+			const cut = 1500
+			ingestAll(t, c, post[:cut], 256)
+
+			path := filepath.Join(t.TempDir(), "snap.hbn")
+			if _, err := c.Snapshot(path); err != nil {
+				t.Fatal(err)
+			}
+			r, _, err := Restore(path, RestoreOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareClusters(t, "at cut", c, r, objects, false)
+
+			ingestAll(t, c, post[cut:], 256)
+			ingestAll(t, r, post[cut:], 256)
+			if err := c.ResolveNow(); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.ResolveNow(); err != nil {
+				t.Fatal(err)
+			}
+			compareClusters(t, "after suffix", c, r, objects, true)
+		})
 	}
 }
 

@@ -42,12 +42,13 @@ func (e *enc) bytes(p []byte) {
 	e.b = append(e.b, p...)
 }
 
-// workload writes w as a sparse (object, node, reads, writes) list; the
-// dimensions are implied by the surrounding state (NumObjects × tree
-// nodes), so they cannot disagree with it.
-func (e *enc) workload(w *workload.W) {
+// rows writes rows first, first+stride, ... of w as a sparse (object,
+// node, reads, writes) cell list; the dimensions are implied by the
+// surrounding state (NumObjects × tree nodes), so they cannot disagree
+// with it.
+func (e *enc) rows(w *workload.W, first, stride int) {
 	cells := 0
-	for x := 0; x < w.NumObjects(); x++ {
+	for x := first; x < w.NumObjects(); x += stride {
 		for _, a := range w.Row(x) {
 			if a.Reads != 0 || a.Writes != 0 {
 				cells++
@@ -55,7 +56,7 @@ func (e *enc) workload(w *workload.W) {
 		}
 	}
 	e.uvarint(uint64(cells))
-	for x := 0; x < w.NumObjects(); x++ {
+	for x := first; x < w.NumObjects(); x += stride {
 		for v, a := range w.Row(x) {
 			if a.Reads != 0 || a.Writes != 0 {
 				e.uvarint(uint64(x))
@@ -106,8 +107,8 @@ func Encode(st *State) []byte {
 	}
 	e.bytes(tb.Bytes())
 
-	e.workload(st.SolverW)
-	e.workload(st.PrevW)
+	e.rows(st.SolverW, 0, 1)
+	e.rows(st.PrevW, 0, 1)
 
 	e.uvarint(uint64(len(st.EpochLog)))
 	for _, r := range st.EpochLog {
@@ -122,6 +123,7 @@ func Encode(st *State) []byte {
 		e.f64(r.DriftMagnitude)
 	}
 
+	nshards := len(st.ShardStates)
 	for i := range st.ShardStates {
 		ss := &st.ShardStates[i]
 		for _, l := range ss.EdgeLoad {
@@ -132,7 +134,7 @@ func Encode(st *State) []byte {
 		}
 		e.varint(ss.Requests)
 		e.varint(ss.Cost)
-		e.workload(ss.TrackerW)
+		e.rows(st.TrackerW, i, nshards)
 		e.uvarint(uint64(len(ss.Drift)))
 		for _, x := range ss.Drift {
 			e.uvarint(uint64(x))
@@ -339,22 +341,26 @@ func (d *dec) bytes(what string) []byte {
 	return p
 }
 
-func (d *dec) workload(objects, nodes int) *workload.W {
-	w := workload.New(objects, nodes)
+// rows reads a sparse cell list into w. Every cell's object must be one
+// of the rows first, first+stride, ...: a shard section may only carry
+// the rows of the objects its shard owns.
+func (d *dec) rows(w *workload.W, first, stride int) {
 	n := d.count(len(d.b), "workload cell")
 	for i := 0; i < n && d.err == nil; i++ {
-		x := d.id(objects, "workload object")
-		v := d.id(nodes, "workload node")
+		x := d.id(w.NumObjects(), "workload object")
+		v := d.id(w.NumNodes(), "workload node")
 		r := d.uvarint()
 		wr := d.uvarint()
 		if r > math.MaxInt64 || wr > math.MaxInt64 {
 			d.fail("workload frequency overflow")
 		}
+		if d.err == nil && x%stride != first {
+			d.fail("shard %d section holds a cell of object %d, owned by shard %d", first, x, x%stride)
+		}
 		if d.err == nil {
 			w.Set(x, tree.NodeID(v), workload.Access{Reads: int64(r), Writes: int64(wr)})
 		}
 	}
-	return w
 }
 
 func (d *dec) loads(n int, what string) []int64 {
@@ -457,8 +463,10 @@ func decodeBody(body []byte) (*State, error) {
 		return nil, corrupt("dimensions %d×%d exceed the %d-cell limit", numObjects, nodes, maxCells)
 	}
 
-	st.SolverW = d.workload(numObjects, nodes)
-	st.PrevW = d.workload(numObjects, nodes)
+	st.SolverW = workload.New(numObjects, nodes)
+	d.rows(st.SolverW, 0, 1)
+	st.PrevW = workload.New(numObjects, nodes)
+	d.rows(st.PrevW, 0, 1)
 
 	nlog := d.count(len(d.b), "epoch log")
 	if d.err == nil {
@@ -491,6 +499,7 @@ func decodeBody(body []byte) (*State, error) {
 	}
 
 	if d.err == nil {
+		st.TrackerW = workload.New(numObjects, nodes)
 		st.ShardStates = make([]ShardState, nshards)
 		for i := range st.ShardStates {
 			ss := &st.ShardStates[i]
@@ -504,7 +513,7 @@ func decodeBody(body []byte) (*State, error) {
 			}
 			ss.Requests = d.nonneg("shard requests")
 			ss.Cost = d.nonneg("shard cost")
-			ss.TrackerW = d.workload(numObjects, nodes)
+			d.rows(st.TrackerW, i, nshards)
 			nd := d.count(numObjects, "drift queue")
 			if d.err != nil {
 				break

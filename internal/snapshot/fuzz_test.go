@@ -28,6 +28,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 	downgraded := bytes.Clone(img)
 	binary.LittleEndian.PutUint32(downgraded[len(magic):], version-1)
 	f.Add(downgraded)
+	// A shard section carrying a row its shard does not own.
+	f.Add(unownedCellImage())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Decode(data)

@@ -1,18 +1,17 @@
 // Package snapshot is the durability layer: a versioned, length-prefixed,
 // CRC-checksummed binary image of full cluster state (topology, per-object
-// copy sets, per-shard tracker rows and load accounts, epoch counters,
-// solver arming state), written crash-consistently and recovered through a
-// generation ladder.
+// copy sets, observed frequencies, per-shard load accounts, epoch
+// counters, solver arming state), written crash-consistently and recovered
+// through a generation ladder.
 //
 // # File format
 //
 // A snapshot file is
 //
 //	magic   8 bytes  "HBNSNAP1"
-//	version u32 LE   currently 2 (v2 added the bandwidth-aware and
-//	                 drift-trigger options and the per-epoch trigger
-//	                 fields; older readers reject v2 images, and this
-//	                 reader rejects v1 and earlier, both with ErrCorrupt)
+//	version u32 LE   currently 3 (see the version constant in codec.go;
+//	                 Decode accepts exactly the current version, and
+//	                 rejects any other with ErrCorrupt)
 //	bodyLen u64 LE   length of body in bytes
 //	body    bodyLen  varint-packed sections (see codec.go)
 //	crc     u32 LE   CRC-32 (IEEE) of body
@@ -24,6 +23,10 @@
 // (a count of N elements is rejected unless at least N bytes of body
 // remain, and workload dimensions are bounded exactly as workload.Decode
 // bounds them), so Decode never panics or over-allocates on corrupt data.
+// The dense allocations are the three objects × nodes frequency matrices,
+// whatever the shard count: every shard section fills its owned rows of
+// the one observed-frequency matrix, and a cell for an object the section's
+// shard does not own is ErrCorrupt.
 //
 // # Crash consistency
 //
@@ -123,7 +126,12 @@ type State struct {
 	DroppedServiceLoad int64
 	EpochLog           []EpochRec
 	SolverW            *workload.W // the solver's folded frequency view
-	PrevW              *workload.W // per-object tracker rows as of the last fold
+	PrevW              *workload.W // per-object observed rows as of the last fold
+	// TrackerW holds the observed frequencies, one row per object. The
+	// shard trackers share it (object x is recorded only by its owner,
+	// shard x % len(ShardStates)); the image stores each row in its owner
+	// shard's section.
+	TrackerW *workload.W
 
 	// Per-shard serving state; the shard count is len(ShardStates).
 	ShardStates []ShardState
@@ -147,14 +155,14 @@ type EpochRec struct {
 	DriftMagnitude float64
 }
 
-// ShardState is one shard's non-per-object state.
+// ShardState is one shard's non-per-object state. Its observed-frequency
+// rows live in State.TrackerW.
 type ShardState struct {
 	EdgeLoad []int64 // per-edge total loads (len = tree.NumEdges())
 	MoveLoad []int64 // per-edge movement account (MoveLoad[e] <= EdgeLoad[e])
 	Requests int64
 	Cost     int64
-	TrackerW *workload.W // observed frequencies (owner objects' rows only)
-	Drift    []int       // un-drained drifted objects, in first-touch order
+	Drift    []int // un-drained drifted objects, in first-touch order
 }
 
 // CrashPoint selects a deterministic injected crash for WriteFile.

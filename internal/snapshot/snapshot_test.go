@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -31,10 +32,9 @@ func mkState(seq uint64) *State {
 	sw.AddReads(3, leaves[2], 1)
 	pw := workload.New(objects, n)
 	pw.AddReads(0, leaves[0], 5)
-	tw0 := workload.New(objects, n)
-	tw0.AddReads(0, leaves[0], 7)
-	tw1 := workload.New(objects, n)
-	tw1.AddWrites(1, leaves[1], 3)
+	tw := workload.New(objects, n)
+	tw.AddReads(0, leaves[0], 7)  // shard 0's row
+	tw.AddWrites(1, leaves[1], 3) // shard 1's row
 
 	nearest := make([]tree.NodeID, n)
 	ndist := make([]int32, n)
@@ -72,11 +72,12 @@ func mkState(seq uint64) *State {
 			{Epoch: 2, Requests: 800, Drifted: 2, Moved: 0, StaticCongestion: 0.5, MaxEdgeLoad: 55, ResolveNs: 900,
 				Trigger: "drift", DriftMagnitude: 0.4},
 		},
-		SolverW: sw,
-		PrevW:   pw,
+		SolverW:  sw,
+		PrevW:    pw,
+		TrackerW: tw,
 		ShardStates: []ShardState{
-			{EdgeLoad: seqLoads(ne, 3), MoveLoad: seqLoads(ne, 1), Requests: 700, Cost: 900, TrackerW: tw0, Drift: []int{0, 2}},
-			{EdgeLoad: seqLoads(ne, 2), MoveLoad: make([]int64, ne), Requests: 800, Cost: 1100, TrackerW: tw1, Drift: []int{3}},
+			{EdgeLoad: seqLoads(ne, 3), MoveLoad: seqLoads(ne, 1), Requests: 700, Cost: 900, Drift: []int{0, 2}},
+			{EdgeLoad: seqLoads(ne, 2), MoveLoad: make([]int64, ne), Requests: 800, Cost: 1100, Drift: []int{3}},
 		},
 		Objects: []dynamic.ObjectState{
 			{}, // untouched
@@ -98,6 +99,57 @@ func seqLoads(n int, base int64) []int64 {
 		out[i] = base + int64(i%4)*base
 	}
 	return out
+}
+
+// bareState builds a valid state with no traffic: empty frequency
+// matrices, zero loads on every shard and no object copies.
+func bareState(tr *tree.Tree, objects, shards int) *State {
+	n, ne := tr.Len(), tr.NumEdges()
+	st := &State{
+		Tree:        tr,
+		NumObjects:  objects,
+		Threshold:   1,
+		SolverW:     workload.New(objects, n),
+		PrevW:       workload.New(objects, n),
+		TrackerW:    workload.New(objects, n),
+		ShardStates: make([]ShardState, shards),
+		Objects:     make([]dynamic.ObjectState, objects),
+	}
+	for i := range st.ShardStates {
+		st.ShardStates[i] = ShardState{EdgeLoad: make([]int64, ne), MoveLoad: make([]int64, ne)}
+	}
+	return st
+}
+
+// reseal replaces img's body (same length) and recomputes its checksum.
+func reseal(img, body []byte) []byte {
+	out := append(bytes.Clone(img[:headerSize]), body...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
+}
+
+// unownedCellImage forges a correctly sealed two-shard image whose shard 0
+// section carries an observed-frequency cell of object 1, which shard 1
+// owns.
+func unownedCellImage() []byte {
+	tr := tree.SCICluster(2, 2, 16, 8)
+	build := func(x int) []byte {
+		st := bareState(tr, 2, 2)
+		st.TrackerW.AddReads(x, tr.Leaves()[0], 5)
+		return Encode(st)
+	}
+	own0, own1 := build(0), build(1)
+	// The two images agree up to shard 0's cell count: 1 in own0, whose
+	// one cell follows, and 0 in own1. Relabel own0's cell as object 1.
+	i := 0
+	for own0[i] == own1[i] {
+		i++
+	}
+	if own0[i] != 1 || own0[i+1] != 0 {
+		panic("snapshot: unexpected shard section layout")
+	}
+	body := bytes.Clone(own0[headerSize : len(own0)-crcSize])
+	body[i+1-headerSize] = 1
+	return reseal(own0, body)
 }
 
 // Decode(Encode(st)) reproduces the image byte-for-byte: the encoding is
@@ -176,6 +228,9 @@ func TestDecodeRejectsHostileHeaders(t *testing.T) {
 		"forged length":  huge,
 		"future version": badVersion,
 		"past version":   oldVersion,
+		// A section may carry only its own shard's rows of the one
+		// observed-frequency matrix.
+		"unowned tracker cell": unownedCellImage(),
 	}
 	for name, data := range cases {
 		if _, err := Decode(data); !errors.Is(err, ErrCorrupt) {
@@ -202,11 +257,34 @@ func TestDecodeRejectsRetiredFlag(t *testing.T) {
 		t.Fatalf("flags byte %#x, want 0x6 (solved, bandwidth-aware)", f)
 	}
 	body[len(prefix.b)] |= 1
-	forged := append(bytes.Clone(img[:headerSize]), body...)
-	forged = binary.LittleEndian.AppendUint32(forged, crc32.ChecksumIEEE(body))
-	_, err := Decode(forged)
+	_, err := Decode(reseal(img, body))
 	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unknown state flags") {
 		t.Fatalf("flag bit 0: got %v, want ErrCorrupt for unknown state flags", err)
+	}
+}
+
+// Decode allocates one observed-frequency matrix whatever the shard
+// count: a 64-shard image of the same dimensions costs no more than 1.25×
+// the 1-shard image's allocation.
+func TestDecodeAllocIndependentOfShards(t *testing.T) {
+	tr := tree.SCICluster(2, 2, 16, 8)
+	const objects = 37449
+	alloc := func(shards int) (uint64, int) {
+		img := Encode(bareState(tr, objects, shards))
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := Decode(img); err != nil {
+			t.Fatalf("%d shards: %v", shards, err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, len(img)
+	}
+	one, _ := alloc(1)
+	many, size := alloc(64)
+	t.Logf("decode allocates %d B at 1 shard, %d B at 64 shards (64-shard image %d B)", one, many, size)
+	if float64(many) > 1.25*float64(one) {
+		t.Fatalf("64-shard decode allocates %d B, more than 1.25x the 1-shard %d B", many, one)
 	}
 }
 

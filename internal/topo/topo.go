@@ -159,13 +159,27 @@ func (m *Remap) Identity() bool {
 // requests), grafted nodes start at zero. The result is freshly
 // allocated.
 func (m *Remap) Workload(w *workload.W) *workload.W {
+	nw := workload.New(w.NumObjects(), len(m.NodeBack))
+	m.WorkloadRows(nw, w, 0, 1)
+	return nw
+}
+
+// WorkloadRows is the row-subset form of Workload: it projects objects
+// first, first+stride, ... of w into nw, a workload built for the new
+// tree with w's object count, and leaves nw's other rows untouched. The
+// serving layer's reconfiguration migrates each shard's rows of the
+// shared observed-frequency matrix this way, each under its own shard's
+// lock. Cells of nw that the projection does not set keep their value, so
+// nw's projected rows should start at zero.
+func (m *Remap) WorkloadRows(nw, w *workload.W, first, stride int) {
 	if w.NumNodes() != len(m.Node) {
 		panic(fmt.Sprintf("topo: workload built for %d nodes, remap for %d", w.NumNodes(), len(m.Node)))
 	}
-	nw := workload.New(w.NumObjects(), len(m.NodeBack))
-	for x := 0; x < w.NumObjects(); x++ {
-		row := w.Row(x)
-		for v, a := range row {
+	if nw.NumNodes() != len(m.NodeBack) || nw.NumObjects() != w.NumObjects() {
+		panic(fmt.Sprintf("topo: target workload is %dx%d, want %dx%d", nw.NumObjects(), nw.NumNodes(), w.NumObjects(), len(m.NodeBack)))
+	}
+	for x := first; x < w.NumObjects(); x += stride {
+		for v, a := range w.Row(x) {
 			if a.Reads|a.Writes == 0 {
 				continue
 			}
@@ -174,7 +188,6 @@ func (m *Remap) Workload(w *workload.W) *workload.W {
 			}
 		}
 	}
-	return nw
 }
 
 // EdgeLoads projects a per-old-edge load vector onto the new tree:

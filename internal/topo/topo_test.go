@@ -402,3 +402,33 @@ func TestRemapWorkloadAndLoads(t *testing.T) {
 		t.Fatalf("edge loads: after %d, want %d-%d", after, before, dropped)
 	}
 }
+
+// Projecting a workload one row class at a time (the per-shard form a
+// staged reconfiguration uses) assembles exactly the full projection, and
+// each call leaves the other classes' rows untouched.
+func TestRemapWorkloadRowsAssembleWorkload(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	tr := tree.SCICluster(3, 4, 16, 8)
+	const objects = 11
+	w := randomWorkload(rng, tr, objects)
+	_, m, err := Apply(tr, Diff{Remove: []tree.NodeID{tr.Leaves()[2], tr.Leaves()[7]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := m.Workload(w)
+	for _, stride := range []int{1, 3, 4, 16} {
+		nw := workload.New(objects, len(m.NodeBack))
+		for first := 0; first < stride; first++ {
+			m.WorkloadRows(nw, w, first, stride)
+			for x := 0; x < objects; x++ {
+				done := x%stride <= first
+				for v := range nw.Row(x) {
+					id := tree.NodeID(v)
+					if done && nw.At(x, id) != want.At(x, id) || !done && nw.At(x, id) != (workload.Access{}) {
+						t.Fatalf("stride %d after class %d: object %d node %d is %+v", stride, first, x, v, nw.At(x, id))
+					}
+				}
+			}
+		}
+	}
+}
